@@ -153,14 +153,11 @@ def box_masses(state_profile, box_length: float) -> list[tuple[int, float]]:
     return masses
 
 
-def pule_aonghusa_bound(box_masses: list[tuple[int, float]], box_length: float,
+def pule_aonghusa_bound(box_masses: list[tuple[int, float]],
                         box_total_length: float) -> float:
-    """Occupation-density bound (1/L) (sum_n sqrt(m_n))^2 from per-box masses.
-
-    box_length is carried for report context; the masses already encode it.
-    """
-    if box_total_length <= 0 or box_length <= 0:
-        raise ValueError("lengths must be positive")
+    """Occupation-density bound (1/L) (sum_n sqrt(m_n))^2 from per-box masses."""
+    if box_total_length <= 0:
+        raise ValueError("box_total_length must be positive")
     m = np.asarray([mass for _, mass in box_masses], dtype=float)
     if m.size == 0:
         raise ValueError("no box masses given")
@@ -460,19 +457,6 @@ class BoundReport:
     """A batch of check records, e.g. everything evaluated on one realization."""
 
     records: tuple[CheckRecord, ...]
-
-    def pass_rows(self) -> list[tuple[str, float, int]]:
-        """(check name, pass fraction, count) over records that carry a verdict."""
-        names = []
-        for rec in self.records:
-            if rec.passed is not None and rec.name not in names:
-                names.append(rec.name)
-        rows = []
-        for name in names:
-            flags = [rec.passed for rec in self.records
-                     if rec.name == name and rec.passed is not None]
-            rows.append((name, sum(flags) / len(flags), len(flags)))
-        return rows
 
 
 def format_value(value) -> str:

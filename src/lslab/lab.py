@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -47,50 +50,7 @@ class ConfigError(ValueError):
     """The experiment configuration is inconsistent or unsupported."""
 
 
-KNOWN_CHECKS = ("lemma21", "appendix", "thermo", "hardcore_bound", "scaling",
-                "trial_energy")
-
 _META_COLUMNS = ("n", "realization_index", "base_seed", "box_length")
-
-CHECK_COLUMNS = {
-    "lemma21": ("lemma21_l_max", "lemma21_lower", "lemma21_upper",
-                "lemma21_lower_ok", "lemma21_upper_ok", "lemma21_pass"),
-    "appendix": ("appendix_count", "appendix_threshold", "appendix_pass"),
-    "thermo": ("thermo_n_modes", "thermo_energy_cutoff", "thermo_log_partition",
-               "thermo_condensate_occupation", "thermo_condensate_density",
-               "thermo_condensate_fraction", "thermo_tail_occupation",
-               "thermo_cutoff_converged"),
-    "hardcore_bound": ("hardcore_radius", "hardcore_support_boxes",
-                       "hardcore_pa_bound", "hardcore_t33_bound",
-                       "hardcore_box_criterion", "hardcore_pass"),
-    "scaling": ("scaling_hardcore_vanishing", "scaling_range_growth",
-                "scaling_floor_range_growth", "scaling_delta_growth"),
-    "trial_energy": ("trial_count_q", "trial_kinetic_pp", "trial_interaction_pp",
-                     "trial_defined"),
-}
-
-_FLAG_COLUMNS = frozenset({
-    "lemma21_lower_ok", "lemma21_upper_ok", "lemma21_pass", "appendix_pass",
-    "thermo_cutoff_converged", "hardcore_pass", "trial_defined",
-})
-
-# the flag that summarizes each check in the pass-fraction table
-_PASS_COLUMN = {
-    "lemma21": "lemma21_pass",
-    "appendix": "appendix_pass",
-    "thermo": "thermo_cutoff_converged",
-    "hardcore_bound": "hardcore_pass",
-    "trial_energy": "trial_defined",
-}
-
-_CHECK_PREFIX = {
-    "lemma21": "lemma21_",
-    "appendix": "appendix_",
-    "thermo": "thermo_",
-    "hardcore_bound": "hardcore_",
-    "scaling": "scaling_",
-    "trial_energy": "trial_",
-}
 
 
 def default_scaling_spec() -> ScalingSpec:
@@ -132,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError("n_schedule must be strictly increasing")
         if self.realizations_per_n < 1:
             raise ConfigError("realizations_per_n must be >= 1")
+        if not 0 <= self.base_seed < 2 ** 64:
+            raise ConfigError("base_seed must lie in [0, 2**64)")
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
         if self.workers < 1:
@@ -164,10 +126,24 @@ def _as_float(value) -> float:
     return float(value)
 
 
+# int() refuses decimal strings longer than this by default; an exponent must
+# not get round that and build a huge integer
+_INT_MAX_DIGITS = 4300
+
+
 def _as_int(value) -> int:
-    if isinstance(value, str):
-        return int(round(float(value)))
-    return int(value)
+    """An exact integer: '1e4' is accepted because it is integral, '100.4' is not."""
+    if not isinstance(value, (str, float)):
+        return operator.index(value)
+    try:
+        number = Decimal(value)
+    except InvalidOperation:
+        raise ValueError(f"{value!r} is not a number") from None
+    if not number.is_finite() or number != number.to_integral_value():
+        raise ValueError(f"{value!r} is not an integer")
+    if number.adjusted() >= _INT_MAX_DIGITS:
+        raise ValueError(f"{value!r} has too many digits")
+    return int(number)
 
 
 def _as_str(value) -> str:
@@ -176,9 +152,8 @@ def _as_str(value) -> str:
 
 def _as_int_list(value) -> tuple[int, ...]:
     if isinstance(value, str):
-        toks = [t.strip() for t in value.split(",") if t.strip()]
-        return tuple(int(round(float(t))) for t in toks)
-    return tuple(int(v) for v in value)
+        value = [t for t in value.split(",") if t.strip()]
+    return tuple(_as_int(v) for v in value)
 
 
 def _as_checks(value) -> tuple[str, ...]:
@@ -265,13 +240,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None
         else:
             kwargs[key] = converted
     if laws:
-        base = default_scaling_spec()
-        kwargs["scaling"] = ScalingSpec(
-            hardcore_radius=laws.get("hardcore_radius", base.hardcore_radius),
-            interaction_range=laws.get("interaction_range", base.interaction_range),
-            interaction_floor=laws.get("interaction_floor", base.interaction_floor),
-            delta_width=laws.get("delta_width", base.delta_width),
-        )
+        kwargs["scaling"] = replace(default_scaling_spec(), **laws)
     try:
         config = ExperimentConfig(**kwargs)
     except ValueError as err:
@@ -282,82 +251,104 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None
 
 # ---------------------------------------------------------------------------
 # per-realization evaluation
+#
+# Evaluators return their values under the check's unprefixed field names.
+# They look the lslab functions up as module globals at call time, so a
+# caller can swap those globals (e.g. to trace them).
 
 
-def _eval_lemma21(config, n, realization, rec):
+def _eval_lemma21(config, n, realization):
     res = check_lemma21(realization, config.lemma21_epsilon, config.lemma21_alpha)
-    rec["lemma21_l_max"] = res.l_max
-    rec["lemma21_lower"] = res.lower_bound
-    rec["lemma21_upper"] = res.upper_bound
-    rec["lemma21_lower_ok"] = res.lower_ok
-    rec["lemma21_upper_ok"] = res.upper_ok
-    rec["lemma21_pass"] = res.lower_ok and res.upper_ok
+    return {"l_max": res.l_max, "lower": res.lower_bound, "upper": res.upper_bound,
+            "lower_ok": res.lower_ok, "upper_ok": res.upper_ok,
+            "pass": res.lower_ok and res.upper_ok}
 
 
-def _eval_appendix(config, n, realization, rec):
+def _eval_appendix(config, n, realization):
     res = check_appendix_count(realization, config.density)
-    rec["appendix_count"] = res.count
-    rec["appendix_threshold"] = res.threshold
-    rec["appendix_pass"] = res.passed
+    return {"count": res.count, "threshold": res.threshold, "pass": res.passed}
 
 
-def _eval_thermo(config, n, realization, rec):
+def _eval_thermo(config, n, realization):
     cutoff = default_cutoff(realization, config.beta)
     spec = build_spectrum(realization, cutoff)
     sol = condensate_profile(spec, config.beta, n, min(config.top_k, len(spec)))
-    rec["thermo_n_modes"] = len(spec)
-    rec["thermo_energy_cutoff"] = cutoff
-    rec["thermo_log_partition"] = sol.log_partition
-    rec["thermo_condensate_occupation"] = float(sol.occupations[0])
-    rec["thermo_condensate_density"] = sol.condensate_density
-    rec["thermo_condensate_fraction"] = sol.condensate_fraction
-    rec["thermo_tail_occupation"] = sol.tail_occupation
-    rec["thermo_cutoff_converged"] = sol.cutoff_converged
+    return {"n_modes": len(spec), "energy_cutoff": cutoff,
+            "log_partition": sol.log_partition,
+            "condensate_occupation": float(sol.occupations[0]),
+            "condensate_density": sol.condensate_density,
+            "condensate_fraction": sol.condensate_fraction,
+            "tail_occupation": sol.tail_occupation,
+            "cutoff_converged": sol.cutoff_converged}
 
 
-def _eval_hardcore(config, n, realization, rec):
+def _eval_hardcore(config, n, realization):
     radius = config.scaling.hardcore_radius(n)
     masses = box_masses(ground_mode(realization), radius)
     support = sum(1 for _, m in masses if m > 0.0)
-    pa = pule_aonghusa_bound(masses, radius, realization.box_length)
+    pa = pule_aonghusa_bound(masses, realization.box_length)
     t33 = theorem33_bound(config.lemma21_alpha, config.intensity,
                           realization.box_length, radius)
-    rec["hardcore_radius"] = radius
-    rec["hardcore_support_boxes"] = support
-    rec["hardcore_pa_bound"] = pa
-    rec["hardcore_t33_bound"] = t33
-    rec["hardcore_box_criterion"] = box_count_criterion(support, n)
-    rec["hardcore_pass"] = pa <= t33
+    return {"radius": radius, "support_boxes": support, "pa_bound": pa,
+            "t33_bound": t33, "box_criterion": box_count_criterion(support, n),
+            "pass": pa <= t33}
 
 
-def _eval_scaling(config, n, realization, rec):
+def _eval_scaling(config, n, realization):
     diag = scaling_diagnostics(config.scaling, [n])
-    for name, col in diag.columns.items():
-        rec[f"scaling_{name}"] = float(col[0])
+    return {name: float(col[0]) for name, col in diag.columns.items()}
 
 
-def _eval_trial(config, n, realization, rec):
+def _eval_trial(config, n, realization):
     try:
         res = trial_state_energy(realization, n, config.interaction_l1_norm)
-        rec["trial_count_q"] = res.count_q
-        rec["trial_kinetic_pp"] = res.kinetic_per_particle
-        rec["trial_interaction_pp"] = res.interaction_per_particle
-        rec["trial_defined"] = True
     except VoidTrialStateError:
-        rec["trial_count_q"] = 0
-        rec["trial_kinetic_pp"] = float("nan")
-        rec["trial_interaction_pp"] = float("nan")
-        rec["trial_defined"] = False
+        nan = float("nan")
+        return {"count_q": 0, "kinetic_pp": nan, "interaction_pp": nan,
+                "defined": False}
+    return {"count_q": res.count_q, "kinetic_pp": res.kinetic_per_particle,
+            "interaction_pp": res.interaction_per_particle, "defined": True}
 
 
-_CHECK_EVALUATORS = {
-    "lemma21": _eval_lemma21,
-    "appendix": _eval_appendix,
-    "thermo": _eval_thermo,
-    "hardcore_bound": _eval_hardcore,
-    "scaling": _eval_scaling,
-    "trial_energy": _eval_trial,
-}
+@dataclass(frozen=True)
+class Check:
+    """One check: its record columns (prefix + field), its flags, and its evaluator.
+
+    Flags are summarized as fractions; pass_field, when set, is the flag that
+    gives the check's verdict in the pass-fraction table.
+    """
+
+    name: str
+    prefix: str
+    fields: tuple[str, ...]
+    flags: frozenset[str]
+    pass_field: str | None
+    evaluate: Callable
+
+
+CHECKS = {check.name: check for check in (
+    Check("lemma21", "lemma21_",
+          ("l_max", "lower", "upper", "lower_ok", "upper_ok", "pass"),
+          frozenset({"lower_ok", "upper_ok", "pass"}), "pass", _eval_lemma21),
+    Check("appendix", "appendix_", ("count", "threshold", "pass"),
+          frozenset({"pass"}), "pass", _eval_appendix),
+    Check("thermo", "thermo_",
+          ("n_modes", "energy_cutoff", "log_partition", "condensate_occupation",
+           "condensate_density", "condensate_fraction", "tail_occupation",
+           "cutoff_converged"),
+          frozenset({"cutoff_converged"}), "cutoff_converged", _eval_thermo),
+    Check("hardcore_bound", "hardcore_",
+          ("radius", "support_boxes", "pa_bound", "t33_bound", "box_criterion", "pass"),
+          frozenset({"pass"}), "pass", _eval_hardcore),
+    Check("scaling", "scaling_",
+          ("hardcore_vanishing", "range_growth", "floor_range_growth", "delta_growth"),
+          frozenset(), None, _eval_scaling),
+    Check("trial_energy", "trial_",
+          ("count_q", "kinetic_pp", "interaction_pp", "defined"),
+          frozenset({"defined"}), "defined", _eval_trial),
+)}
+
+KNOWN_CHECKS = tuple(CHECKS)
 
 
 def _evaluate_cell(config: ExperimentConfig, n: int, idx: int) -> dict:
@@ -366,17 +357,21 @@ def _evaluate_cell(config: ExperimentConfig, n: int, idx: int) -> dict:
     realization = sample_realization(config.intensity, n / config.density, seed)
     rec: dict = {"n": n, "realization_index": idx, "base_seed": config.base_seed,
                  "box_length": realization.box_length}
-    for check in config.checks:
-        _CHECK_EVALUATORS[check](config, n, realization, rec)
+    for name in config.checks:
+        check = CHECKS[name]
+        values = check.evaluate(config, n, realization)
+        rec.update((check.prefix + f, values[f]) for f in check.fields)
     return rec
 
 
+def _value_columns(checks) -> list[tuple[str, bool]]:
+    """(column, is_flag) for every column of the given checks, in registry order."""
+    return [(check.prefix + f, f in check.flags) for check in CHECKS.values()
+            if check.name in checks for f in check.fields]
+
+
 def _record_columns(checks) -> tuple[str, ...]:
-    cols = list(_META_COLUMNS)
-    for check in KNOWN_CHECKS:
-        if check in checks:
-            cols.extend(CHECK_COLUMNS[check])
-    return tuple(cols)
+    return _META_COLUMNS + tuple(col for col, _ in _value_columns(checks))
 
 
 @dataclass(frozen=True)
@@ -427,9 +422,9 @@ def _aggregate(values: np.ndarray) -> tuple[float, float, float, float]:
 
 def _summary_table(report: EnsembleReport) -> tuple[list[str], list[list]]:
     header = ["n", "ensemble_size"]
-    value_cols = [c for c in report.columns if c not in _META_COLUMNS]
-    for col in value_cols:
-        if col in _FLAG_COLUMNS:
+    value_cols = _value_columns(report.config.checks)
+    for col, is_flag in value_cols:
+        if is_flag:
             header.append(f"{col}_fraction")
         else:
             header.extend(f"{col}{s}" for s in ("_mean", "_median", "_q05", "_q95"))
@@ -437,9 +432,9 @@ def _summary_table(report: EnsembleReport) -> tuple[list[str], list[list]]:
     for n in report.config.n_schedule:
         group = [rec for rec in report.records if rec["n"] == n]
         row: list = [n, len(group)]
-        for col in value_cols:
+        for col, is_flag in value_cols:
             vals = np.array([float(rec[col]) for rec in group], dtype=float)
-            if col in _FLAG_COLUMNS:
+            if is_flag:
                 row.append(float(vals.mean()))
             else:
                 row.extend(_aggregate(vals))
@@ -452,27 +447,29 @@ def _pass_table(report: EnsembleReport) -> tuple[list[str], list[list]]:
     rows = []
     for n in report.config.n_schedule:
         group = [rec for rec in report.records if rec["n"] == n]
-        for check in report.config.checks:
-            col = _PASS_COLUMN.get(check)
-            if col is None:
+        for name in report.config.checks:
+            check = CHECKS[name]
+            if check.pass_field is None:
                 continue
-            flags = [bool(rec[col]) for rec in group]
-            rows.append([n, check, sum(flags) / len(flags), len(flags)])
+            flags = [bool(rec[check.prefix + check.pass_field]) for rec in group]
+            rows.append([n, name, sum(flags) / len(flags), len(flags)])
     return header, rows
 
 
-def _write_lines(path: Path, lines: list[str]) -> Path:
+def _write_table(path: Path, header, rows) -> Path:
+    lines = [",".join(header)]
+    lines.extend(",".join(format_value(v) for v in row) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-def emit_report(report: EnsembleReport, output_dir: str | Path,
-                formats: tuple[str, ...] = ("summary-table", "full-records")
-                ) -> list[Path]:
+def emit_report(report: EnsembleReport, output_dir: str | Path) -> list[Path]:
     """Write the report as comma-separated files; returns the paths written.
 
-    Emission is pure formatting: running the same configuration twice yields
-    byte-identical files.
+    summary.csv, then pass_fractions.csv when a configured check has a
+    verdict, then scaling_trends.csv when the scaling check is on, then
+    records.csv.  Emission is pure formatting: running the same
+    configuration twice yields byte-identical files.
     """
     if not report.records:
         raise ValueError("report has no records")
@@ -480,30 +477,16 @@ def emit_report(report: EnsembleReport, output_dir: str | Path,
         raise ValueError("report has no check columns")
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths: list[Path] = []
-    for fmt in formats:
-        if fmt == "full-records":
-            lines = [",".join(report.columns)]
-            lines.extend(",".join(format_value(rec[c]) for c in report.columns)
-                         for rec in report.records)
-            paths.append(_write_lines(outdir / "records.csv", lines))
-        elif fmt == "summary-table":
-            header, rows = _summary_table(report)
-            lines = [",".join(header)]
-            lines.extend(",".join(format_value(v) for v in row) for row in rows)
-            paths.append(_write_lines(outdir / "summary.csv", lines))
-            pheader, prows = _pass_table(report)
-            if prows:
-                lines = [",".join(pheader)]
-                lines.extend(",".join(format_value(v) for v in row) for row in prows)
-                paths.append(_write_lines(outdir / "pass_fractions.csv", lines))
-            if report.scaling is not None:
-                lines = ["diagnostic,tail_trend"]
-                lines.extend(f"{name},{trend}"
-                             for name, trend in report.scaling.trends.items())
-                paths.append(_write_lines(outdir / "scaling_trends.csv", lines))
-        else:
-            raise ValueError(f"unknown report format: {fmt}")
+    paths = [_write_table(outdir / "summary.csv", *_summary_table(report))]
+    pheader, prows = _pass_table(report)
+    if prows:
+        paths.append(_write_table(outdir / "pass_fractions.csv", pheader, prows))
+    if report.scaling is not None:
+        paths.append(_write_table(outdir / "scaling_trends.csv",
+                                  ["diagnostic", "tail_trend"],
+                                  report.scaling.trends.items()))
+    records = ([rec[c] for c in report.columns] for rec in report.records)
+    paths.append(_write_table(outdir / "records.csv", report.columns, records))
     return paths
 
 
@@ -512,13 +495,13 @@ def single_realization_checks(config: ExperimentConfig, n: int, idx: int) -> Bou
     rec = _evaluate_cell(config, n, idx)
     meta = {key: rec[key] for key in _META_COLUMNS}
     records = []
-    for check in config.checks:
-        prefix = _CHECK_PREFIX[check]
-        pass_col = _PASS_COLUMN.get(check)
-        values = {col[len(prefix):]: rec[col] for col in CHECK_COLUMNS[check]
-                  if col != pass_col}
-        passed = bool(rec[pass_col]) if pass_col else None
-        records.append(CheckRecord(check, dict(meta), values, passed))
+    for name in config.checks:
+        check = CHECKS[name]
+        values = {f: rec[check.prefix + f] for f in check.fields
+                  if f != check.pass_field}
+        passed = (bool(rec[check.prefix + check.pass_field])
+                  if check.pass_field else None)
+        records.append(CheckRecord(name, dict(meta), values, passed))
     return BoundReport(tuple(records))
 
 
@@ -561,15 +544,12 @@ def _cmd_occupancy(args) -> int:
     return 0
 
 
-_OVERRIDE_KEYS = tuple(_CONFIG_FIELDS)
-
-
-def _collect_overrides(args) -> dict:
-    return {key: getattr(args, key, None) for key in _OVERRIDE_KEYS}
+def _overrides(args) -> dict:
+    return {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
 
 
 def _cmd_bounds(args) -> int:
-    overrides = _collect_overrides(args)
+    overrides = _overrides(args)
     overrides["n_schedule"] = str(args.particles)
     overrides["realizations_per_n"] = 1
     config = load_config(args.config, overrides)
@@ -579,21 +559,18 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    config = load_config(args.config, _collect_overrides(args))
-    report = run_ensemble(config, workers=args.workers)
+    config = load_config(args.config, _overrides(args))
+    report = run_ensemble(config)
     for path in emit_report(report, config.output_dir):
         print(path)
     return 0
 
 
 def _cmd_diag(args) -> int:
-    spec = ScalingSpec(
-        hardcore_radius=_as_law(args.hardcore_radius),
-        interaction_range=_as_law(args.interaction_range),
-        interaction_floor=_as_law(args.interaction_floor),
-        delta_width=_as_law(args.delta_width),
-    )
-    diag = scaling_diagnostics(spec, _as_int_list(args.n_grid))
+    laws = {key: _as_law(getattr(args, key)) for key in _LAW_KEYS
+            if getattr(args, key) is not None}
+    diag = scaling_diagnostics(replace(default_scaling_spec(), **laws),
+                               _as_int_list(args.n_grid))
     names = list(diag.columns)
     lines = ["n," + ",".join(names)]
     lines.extend(",".join(format_value(v) for v in row) for row in diag.rows())
@@ -602,19 +579,34 @@ def _cmd_diag(args) -> int:
     return 0
 
 
-def _add_seed_flags(parser, base_default: int | None = 1) -> None:
-    parser.add_argument("--base-seed", dest="base_seed", type=int, default=base_default,
+def _add_seed_flags(parser) -> None:
+    parser.add_argument("--base-seed", dest="base_seed", type=int, default=1,
                         help="ensemble base seed")
+    _add_index_flag(parser)
+
+
+def _add_index_flag(parser) -> None:
     parser.add_argument("--index", type=int, default=0,
                         help="realization index within the ensemble (default 0)")
 
 
-def _add_law_flags(parser) -> None:
-    parser.add_argument("--hardcore-radius", default=None, metavar="C,P[,Q]",
-                        help="hard-core radius sequence c*N^p*ln(N)^q")
-    parser.add_argument("--interaction-range", default=None, metavar="C,P[,Q]")
-    parser.add_argument("--interaction-floor", default=None, metavar="C,P[,Q]")
-    parser.add_argument("--delta-width", default=None, metavar="C,P[,Q]")
+# config keys that only a whole scan uses; `bounds` evaluates one realization
+_SCAN_ONLY_KEYS = ("n_schedule", "realizations_per_n", "output_dir", "workers")
+
+_FLAG_HELP = {
+    "n_schedule": "comma list of particle numbers, strictly increasing",
+    "checks": "comma list from: " + ", ".join(KNOWN_CHECKS),
+    "workers": "process count for the realization fan-out",
+    "hardcore_radius": "hard-core radius sequence c*N^p*ln(N)^q",
+}
+
+
+def _add_config_flags(parser, keys) -> None:
+    """--key-with-dashes for each config key; its value stays a string for load_config."""
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
+                            metavar="C,P[,Q]" if key in _LAW_KEYS else None,
+                            help=_FLAG_HELP.get(key))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -657,50 +649,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate checks on one realization")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--intensity", type=float, default=None)
-    p.add_argument("--density", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    _add_config_flags(p, [k for k in _CONFIG_FIELDS if k not in _SCAN_ONLY_KEYS])
     p.add_argument("--particles", type=int, required=True)
-    p.add_argument("--checks", default=None,
-                   help="comma list from: " + ", ".join(KNOWN_CHECKS))
-    p.add_argument("--lemma21-epsilon", type=float, default=None)
-    p.add_argument("--lemma21-alpha", type=float, default=None)
-    p.add_argument("--interaction-l1-norm", type=float, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
-    _add_law_flags(p)
-    _add_seed_flags(p, base_default=None)
+    _add_index_flag(p)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("scan", help="run a full ensemble and write CSV reports")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--intensity", type=float, default=None)
-    p.add_argument("--density", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--n-schedule", dest="n_schedule", default=None,
-                   help="comma list of particle numbers, strictly increasing")
-    p.add_argument("--realizations-per-n", dest="realizations_per_n", type=int,
-                   default=None)
-    p.add_argument("--base-seed", dest="base_seed", type=int, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p.add_argument("--checks", default=None,
-                   help="comma list from: " + ", ".join(KNOWN_CHECKS))
-    p.add_argument("--output-dir", dest="output_dir", default=None)
-    p.add_argument("--lemma21-epsilon", type=float, default=None)
-    p.add_argument("--lemma21-alpha", type=float, default=None)
-    p.add_argument("--interaction-l1-norm", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None,
-                   help="process count for the realization fan-out")
-    _add_law_flags(p)
+    _add_config_flags(p, _CONFIG_FIELDS)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("diag", help="scaling diagnostics only, no sampling")
     p.add_argument("--n-grid", required=True,
                    help="comma list of sizes, e.g. 1e2,1e4,1e6,1e8")
-    p.add_argument("--hardcore-radius", default="1,-0.25", metavar="C,P[,Q]")
-    p.add_argument("--interaction-range", default="1,-0.2", metavar="C,P[,Q]")
-    p.add_argument("--interaction-floor", default="1,0", metavar="C,P[,Q]")
-    p.add_argument("--delta-width", default="1,-0.2", metavar="C,P[,Q]")
+    _add_config_flags(p, _LAW_KEYS)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_diag)
 

@@ -113,10 +113,11 @@ def boltzmann_sums(spectrum: Spectrum, beta: float, max_power: int) -> np.ndarra
 def _warn_if_unconverged(spectrum: Spectrum, beta: float) -> bool:
     converged = cutoff_is_converged(spectrum, beta)
     if not converged:
+        # levels: here, _solve, the public entry point, its caller
         warnings.warn(
             f"spectrum cutoff {spectrum.energy_cutoff:g} is not converged at "
             f"beta={beta:g}; partition sums are truncated",
-            CutoffConvergenceWarning, stacklevel=3)
+            CutoffConvergenceWarning, stacklevel=4)
     return converged
 
 
@@ -132,11 +133,18 @@ def _log_partitions(sums: np.ndarray) -> np.ndarray:
     return log_z
 
 
+def _solve(spectrum: Spectrum, beta: float, particle_number: int
+           ) -> tuple[int, bool, np.ndarray, np.ndarray]:
+    """(N, cutoff converged, S_1..S_N, ln Z_0..ln Z_N) for the public entry points."""
+    n = _check_particles(particle_number)
+    converged = _warn_if_unconverged(spectrum, beta)
+    sums = boltzmann_sums(spectrum, beta, n)
+    return n, converged, sums, _log_partitions(sums)
+
+
 def canonical_partition(spectrum: Spectrum, beta: float, particle_number: int) -> np.ndarray:
     """ln Z_0 .. ln Z_N in the ground-shifted gauge (log domain throughout)."""
-    n = _check_particles(particle_number)
-    _warn_if_unconverged(spectrum, beta)
-    return _log_partitions(boltzmann_sums(spectrum, beta, n))
+    return _solve(spectrum, beta, particle_number)[3]
 
 
 def _occupation_single(delta_j: float, beta: float, log_z: np.ndarray) -> float:
@@ -149,21 +157,17 @@ def _occupation_single(delta_j: float, beta: float, log_z: np.ndarray) -> float:
 def canonical_occupation(spectrum: Spectrum, beta: float, particle_number: int,
                          mode_index: int) -> float:
     """Expected occupation <n_j> of one mode in the canonical ensemble."""
-    n = _check_particles(particle_number)
     if not 0 <= mode_index < len(spectrum):
         raise ValueError("mode_index out of range")
-    _warn_if_unconverged(spectrum, beta)
-    log_z = _log_partitions(boltzmann_sums(spectrum, beta, n))
+    *_, log_z = _solve(spectrum, beta, particle_number)
     delta_j = float(spectrum.energies[mode_index] - spectrum.energies[0])
     return _occupation_single(delta_j, beta, log_z)
 
 
 def canonical_occupations(spectrum: Spectrum, beta: float, particle_number: int) -> np.ndarray:
     """All mode occupations at once (k-loop over the shifted spectrum)."""
-    n = _check_particles(particle_number)
-    _warn_if_unconverged(spectrum, beta)
+    n, _, _, log_z = _solve(spectrum, beta, particle_number)
     delta = spectrum.energies - spectrum.energies[0]
-    log_z = _log_partitions(boltzmann_sums(spectrum, beta, n))
     ratios = np.exp(log_z[n - 1::-1] - log_z[n])
     occ = np.zeros(len(spectrum))
     for k in range(1, n + 1):
@@ -180,13 +184,10 @@ def condensate_profile(spectrum: Spectrum, beta: float, particle_number: int,
     sum_j <n_j> = sum_k S_k Z_{N-k}/Z_N and must land on N; a drift beyond
     1e-8 N would indicate a numerical defect and raises.
     """
-    n = _check_particles(particle_number)
     top_k = int(top_k)
     if not 1 <= top_k <= len(spectrum):
         raise ValueError("top_k must lie in 1..n_modes")
-    converged = _warn_if_unconverged(spectrum, beta)
-    sums = boltzmann_sums(spectrum, beta, n)
-    log_z = _log_partitions(sums)
+    n, converged, sums, log_z = _solve(spectrum, beta, particle_number)
     delta = spectrum.energies - spectrum.energies[0]
     occ = np.array([_occupation_single(float(delta[j]), beta, log_z)
                     for j in range(top_k)])

@@ -135,7 +135,7 @@ def test_criterion_5_hardcore_bound_decay():
     for i in range(200):
         r = sample_realization(1.0, L, EnsembleSeed(161803, i))
         gm = ground_mode(r)
-        pa = pule_aonghusa_bound(box_masses(gm, a), a, L)
+        pa = pule_aonghusa_bound(box_masses(gm, a), L)
         hits += pa <= cap
     elapsed = time.perf_counter() - t0
     ok = formula_ok and hits >= 190

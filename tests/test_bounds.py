@@ -10,7 +10,6 @@ from scipy import integrate
 
 from lslab.bounds import (
     AppendixCountResult,
-    BoundReport,
     CheckRecord,
     PowerLogLaw,
     ScalingSpec,
@@ -138,20 +137,20 @@ def test_box_masses_validation():
 
 
 def test_pule_aonghusa_extremes():
-    assert pule_aonghusa_bound([(0, 1.0)], 1.0, 250.0) == pytest.approx(1 / 250.0, rel=1e-15)
+    assert pule_aonghusa_bound([(0, 1.0)], 250.0) == pytest.approx(1 / 250.0, rel=1e-15)
     masses = [(n, 0.25) for n in range(4)]
-    assert pule_aonghusa_bound(masses, 1.0, 80.0) == pytest.approx(4 / 80.0, rel=1e-12)
+    assert pule_aonghusa_bound(masses, 80.0) == pytest.approx(4 / 80.0, rel=1e-12)
 
 
 def test_pule_aonghusa_validation():
     with pytest.raises(ValueError):
-        pule_aonghusa_bound([], 1.0, 10.0)
+        pule_aonghusa_bound([], 10.0)
     with pytest.raises(ValueError):
-        pule_aonghusa_bound([(0, 0.4)], 1.0, 10.0)  # does not sum to 1
+        pule_aonghusa_bound([(0, 0.4)], 10.0)  # does not sum to 1
     with pytest.raises(ValueError):
-        pule_aonghusa_bound([(0, 1.5), (1, -0.5)], 1.0, 10.0)
+        pule_aonghusa_bound([(0, 1.5), (1, -0.5)], 10.0)
     with pytest.raises(ValueError):
-        pule_aonghusa_bound([(0, 1.0)], 1.0, 0.0)
+        pule_aonghusa_bound([(0, 1.0)], 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,7 +159,7 @@ def test_property_pule_aonghusa_between_extremes(raw):
     total = sum(raw)
     masses = [(n, v / total) for n, v in enumerate(raw)]
     L = 123.0
-    val = pule_aonghusa_bound(masses, 1.0, L)
+    val = pule_aonghusa_bound(masses, L)
     s = len(masses)
     assert val >= 1.0 / L - 1e-12
     assert val <= s / L + 1e-12
@@ -173,7 +172,7 @@ def test_pule_aonghusa_count_bound_on_ground_modes():
         r = sample_realization(1.0, L, EnsembleSeed(99, i))
         gm = ground_mode(r)
         for a in (0.3, 1.0, 2.5):
-            val = pule_aonghusa_bound(box_masses(gm, a), a, L)
+            val = pule_aonghusa_bound(box_masses(gm, a), L)
             cap = (math.ceil(gm.interval_length / a) + 1) ** 2 / L
             assert val <= cap + 1e-12
 
@@ -485,14 +484,3 @@ def test_records_to_text_layout():
     assert "lemma21.pass = 1" in lines
     with pytest.raises(ValueError):
         records_to_text([])
-
-
-def test_bound_report_pass_rows():
-    recs = (
-        CheckRecord("a", {}, {}, True),
-        CheckRecord("a", {}, {}, False),
-        CheckRecord("b", {}, {}, True),
-        CheckRecord("c", {}, {"v": 1.0}, None),
-    )
-    rows = BoundReport(recs).pass_rows()
-    assert rows == [("a", 0.5, 2), ("b", 1.0, 1)]

@@ -7,7 +7,10 @@ import pytest
 
 from lslab.disorder import EnsembleSeed, longest_interval, sample_realization
 from lslab.lab import (
+    _CONFIG_FIELDS,
     KNOWN_CHECKS,
+    _build_parser,
+    _overrides,
     ConfigError,
     EnsembleReport,
     ExperimentConfig,
@@ -76,10 +79,61 @@ def test_flag_overrides_beat_file(tmp_path):
     ({"checks": "thermo", "n_schedule": "30000"}, "capped"),
     ({"checks": "lemma21", "n_schedule": "2", "density": "1"}, "above e"),
     ({"checks": "hardcore_bound", "density": "3", "n_schedule": "100"}, "ceiling"),
+    ({"n_schedule": "100.4"}, "not an integer"),
+    ({"realizations_per_n": "2.6"}, "not an integer"),
+    ({"base_seed": "9007199254740993.5"}, "not an integer"),
+    ({"top_k": "1e5000"}, "too many digits"),
+    ({"base_seed": "-1"}, r"base_seed must lie in \[0, 2\*\*64\)"),
+    ({"base_seed": str(2 ** 64)}, r"base_seed must lie in \[0, 2\*\*64\)"),
 ])
 def test_config_rejections(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
         load_config(None, overrides)
+
+
+def test_seed_above_2_53_replays_exactly(tmp_path):
+    seed = 2 ** 53 + 1
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"base_seed = {seed}\nn_schedule = 1e2\nrealizations_per_n = 1\n",
+                    encoding="utf-8")
+    config = load_config(path)
+    assert config.base_seed == seed
+    rec = run_ensemble(config).records[0]
+    assert rec["base_seed"] == seed
+    r = sample_realization(config.intensity, 100.0, EnsembleSeed(seed, 0))
+    assert longest_interval(r)[0] == rec["lemma21_l_max"]
+
+
+# one value per config key, each different from the default and valid alone
+_KEY_SAMPLES = {
+    "intensity": "2.5", "density": "0.5", "beta": "1.5", "n_schedule": "100,1e3",
+    "realizations_per_n": "3", "base_seed": "9007199254740993", "top_k": "4",
+    "checks": "appendix,lemma21", "output_dir": "elsewhere",
+    "lemma21_epsilon": "0.25", "lemma21_alpha": "6", "interaction_l1_norm": "2",
+    "workers": "2", "hardcore_radius": "2,-0.5,1", "interaction_range": "1,-0.3",
+    "interaction_floor": "0.5,0", "delta_width": "1,-0.1",
+}
+_SCAN_ONLY = {"n_schedule", "realizations_per_n", "output_dir", "workers"}
+
+
+@pytest.mark.parametrize("key", list(_CONFIG_FIELDS))
+def test_flag_and_config_line_agree(key, tmp_path, capsys):
+    value = _KEY_SAMPLES[key]
+    flag = "--" + key.replace("_", "-")
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"{key} = {value}\n", encoding="utf-8")
+    from_file = load_config(path)
+    assert from_file != ExperimentConfig()
+    parser = _build_parser()
+    args = parser.parse_args(["scan", flag, value])
+    assert load_config(None, _overrides(args)) == from_file
+    bounds_argv = ["bounds", "--particles", "100", flag, value]
+    if key in _SCAN_ONLY:
+        with pytest.raises(SystemExit):
+            parser.parse_args(bounds_argv)
+    else:
+        args = parser.parse_args(bounds_argv)
+        assert load_config(None, _overrides(args)) == from_file
 
 
 def test_run_ensemble_is_replayable():
@@ -176,8 +230,6 @@ def test_emit_report_rejects_empty_and_unknown_format(tmp_path):
     report = run_ensemble(config)
     with pytest.raises(ValueError):
         emit_report(EnsembleReport(config, report.columns, []), tmp_path)
-    with pytest.raises(ValueError):
-        emit_report(report, tmp_path, formats=("csv",))
 
 
 def test_single_realization_checks_records():

@@ -229,6 +229,19 @@ def test_unconverged_cutoff_warns_and_flags():
     assert sol.cutoff_converged
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: canonical_partition(s, 1.0, 20),
+    lambda s: canonical_occupation(s, 1.0, 20, 0),
+    lambda s: canonical_occupations(s, 1.0, 20),
+    lambda s: condensate_profile(s, 1.0, 20, top_k=2),
+])
+def test_cutoff_warning_points_at_the_caller(call):
+    tight = build_spectrum(sample_realization(1.0, 400.0, EnsembleSeed(15, 0)), 1.0)
+    with pytest.warns(CutoffConvergenceWarning) as caught:
+        call(tight)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_cutoff_insensitivity_beyond_default():
     r = sample_realization(1.0, 600.0, EnsembleSeed(15, 1))
     ec = default_cutoff(r, 1.0)
