@@ -580,13 +580,13 @@ def _cmd_diag(args) -> int:
 
 
 def _add_seed_flags(parser) -> None:
-    parser.add_argument("--base-seed", dest="base_seed", type=int, default=1,
+    parser.add_argument("--base-seed", dest="base_seed", type=_as_int, default=1,
                         help="ensemble base seed")
     _add_index_flag(parser)
 
 
 def _add_index_flag(parser) -> None:
-    parser.add_argument("--index", type=int, default=0,
+    parser.add_argument("--index", type=_as_int, default=0,
                         help="realization index within the ensemble (default 0)")
 
 
@@ -641,8 +641,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=1.0,
                    help="particle density; the box length is N/density")
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--particles", type=int, required=True)
-    p.add_argument("--top-k", type=int, default=8)
+    p.add_argument("--particles", type=_as_int, required=True)
+    p.add_argument("--top-k", type=_as_int, default=8)
     _add_seed_flags(p)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_occupancy)
@@ -650,7 +650,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate checks on one realization")
     p.add_argument("--config", default=None, help="flat key=value config file")
     _add_config_flags(p, [k for k in _CONFIG_FIELDS if k not in _SCAN_ONLY_KEYS])
-    p.add_argument("--particles", type=int, required=True)
+    p.add_argument("--particles", type=_as_int, required=True)
     _add_index_flag(p)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_bounds)

@@ -1,18 +1,21 @@
 """Exact canonical statistics of the ideal Bose gas on a fixed spectrum.
 
 Everything runs in the ground-shifted gauge (energies minus the lowest
-level) and in the log domain, so no partition value can overflow:
+level):
 
     S_k   = sum_j exp(-k beta (e_j - e_0))             k = 1..N
     Z_N   = (1/N) sum_{k=1}^{N} S_k Z_{N-k}            Z_0 = 1
     <n_j> = sum_{k=1}^{N} exp(-k beta (e_j - e_0)) Z_{N-k} / Z_N
 
-The recursion is exact for the canonical ensemble at fixed particle number
-and costs O(N^2); THERMO_MAX_N marks the desk-scale ceiling.  A grand
-canonical solver is included for cross-checks, and saturation_density gives
-the density the excited modes hold when the chemical potential is pushed to
-the band edge, which is the natural empirical estimate of where condensation
-sets in.
+The Z recursion runs in the linear domain, one dot product per step, on a
+buffer that is rescaled whenever its newest value passes 1e200; only ln Z
+leaves it.  No value can overflow, because in this gauge Z_n / Z_{n-1} lies
+in [1, S_1] and S_1 is at most the mode count.  The recursion is exact for
+the canonical ensemble at fixed particle number and costs O(N^2);
+THERMO_MAX_N marks the desk-scale ceiling.  A grand canonical solver is
+included for cross-checks, and saturation_density gives the density the
+excited modes hold when the chemical potential is pushed to the band edge,
+which is the natural empirical estimate of where condensation sets in.
 """
 
 from __future__ import annotations
@@ -46,6 +49,13 @@ THERMO_MAX_N = 20_000
 
 # exp(-80) ~ 1.8e-35; dropped tail terms total < 1e-29 against sums that are >= 1
 _EXP_FLOOR = -80.0
+
+# _log_partitions rescales its buffer when a value passes _RESCALE_AT, then
+# sets entries below _FLUSH_BELOW to 0: together they add less than 1e-270
+# (relative) to any later Z, and dropping them keeps subnormals out of the
+# dot products
+_RESCALE_AT = 1e200
+_FLUSH_BELOW = 1e-280
 
 
 class CutoffConvergenceWarning(UserWarning):
@@ -122,14 +132,35 @@ def _warn_if_unconverged(spectrum: Spectrum, beta: float) -> bool:
 
 
 def _log_partitions(sums: np.ndarray) -> np.ndarray:
-    """ln Z_0..ln Z_N from the power sums, log-sum-exp at every step."""
+    """ln Z_0..ln Z_N from the power sums by the rescaled linear recursion.
+
+    The unnormalised Z_j live in one buffer in reverse order (Z_j at index
+    N - j), so each step is a forward, contiguous dot product.  The buffer
+    holds Z_j / exp(shift); when the newest value passes _RESCALE_AT the
+    logs since the last anchor are written out, the live part is divided by
+    that value and its log is added to shift.  This cannot overflow: Z_n /
+    Z_{n-1} lies in [1, S_1], because the ground mode alone gives Z_n >=
+    Z_{n-1} and the generating function prod_j (1 - x_j t)^-1 makes the
+    sequence log-concave, so one step grows the buffer by at most S_1 (at
+    most the mode count) past _RESCALE_AT.
+    """
     n_max = len(sums)
-    log_s = np.log(sums)
     log_z = np.zeros(n_max + 1)
+    buf = np.zeros(n_max + 1)
+    buf[n_max] = 1.0
+    shift = 0.0
+    written = 0                     # log_z[:written + 1] is final
     for n in range(1, n_max + 1):
-        terms = log_s[:n] + log_z[n - 1::-1]
-        peak = terms.max()
-        log_z[n] = peak + math.log(np.exp(terms - peak).sum()) - math.log(n)
+        value = np.dot(sums[:n], buf[n_max - n + 1:]) / n
+        buf[n_max - n] = value
+        if value > _RESCALE_AT:
+            live = buf[n_max - n:]
+            log_z[written + 1:n + 1] = np.log(live[:n - written][::-1]) + shift
+            written = n
+            live /= value
+            live[live < _FLUSH_BELOW] = 0.0
+            shift += math.log(value)
+    log_z[written + 1:] = np.log(buf[:n_max - written][::-1]) + shift
     return log_z
 
 
@@ -143,7 +174,11 @@ def _solve(spectrum: Spectrum, beta: float, particle_number: int
 
 
 def canonical_partition(spectrum: Spectrum, beta: float, particle_number: int) -> np.ndarray:
-    """ln Z_0 .. ln Z_N in the ground-shifted gauge (log domain throughout)."""
+    """ln Z_0 .. ln Z_N in the ground-shifted gauge.
+
+    Z is computed in the linear domain on a rescaled buffer (see
+    _log_partitions), which cannot overflow.
+    """
     return _solve(spectrum, beta, particle_number)[3]
 
 

@@ -298,6 +298,24 @@ def test_cli_bounds_lists_requested_checks(tmp_path):
     assert "appendix.in.n = 200" in text
 
 
+@pytest.mark.parametrize("command", ["bounds", "occupancy"])
+def test_cli_integer_flags_parse_like_config_keys(command, tmp_path, capsys):
+    # '1e3' is accepted because it is integral, as in a config file
+    plain, exponent = tmp_path / "plain.txt", tmp_path / "exponent.txt"
+    occupancy = command == "occupancy"
+    assert main([command, "--particles", "1000", "--index", "1",
+                 *(["--top-k", "4", "--base-seed", "9"] if occupancy else []),
+                 "-o", str(plain)]) == 0
+    assert main([command, "--particles", "1e3", "--index", "1e0",
+                 *(["--top-k", "4e0", "--base-seed", "9e0"] if occupancy else []),
+                 "-o", str(exponent)]) == 0
+    assert exponent.read_bytes() == plain.read_bytes()
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--particles", "100.4"])
+    assert exit_info.value.code == 2
+    assert "--particles" in capsys.readouterr().err
+
+
 def test_cli_scan_and_diag(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(

@@ -84,6 +84,78 @@ def test_partition_hot_limit_counts_multisets():
     assert math.exp(log_z[4]) == pytest.approx(math.comb(3 + 4 - 1, 4), rel=1e-7)
 
 
+def log_sum_exp_partitions(sums):
+    """Reference oracle: ln Z_0..ln Z_N by log-sum-exp at every step.
+
+    It adds the same terms as canonical_partition in log space, in another
+    order and precision, so the two agree to a tolerance, not bit for bit.
+    """
+    n_max = len(sums)
+    log_s = np.log(sums)
+    log_z = np.zeros(n_max + 1)
+    for n in range(1, n_max + 1):
+        terms = log_s[:n] + log_z[n - 1::-1]
+        peak = terms.max()
+        log_z[n] = peak + math.log(np.exp(terms - peak).sum()) - math.log(n)
+    return log_z
+
+
+def test_recursion_agrees_with_log_sum_exp_oracle():
+    n = 5000
+    r = sample_realization(1.0, n / 0.6, EnsembleSeed(21, 0))
+    spec = build_spectrum(r, default_cutoff(r, 1.0))
+    log_z = canonical_partition(spec, 1.0, n)
+    oracle = log_sum_exp_partitions(boltzmann_sums(spec, 1.0, n))
+    rel = np.abs(log_z - oracle) / np.maximum(1.0, np.abs(oracle))
+    assert rel.max() <= 1e-12
+
+
+def test_partition_degenerate_levels_closed_form_across_rescaling():
+    # g levels at one energy: Z_n = C(n + g - 1, n).  ln Z_N ~ 1904 here, so
+    # the linear recursion re-anchors its buffer several times on the way.
+    g, n_max = 1000, 2000
+    log_z = canonical_partition(toy_spectrum([0.0] * g), 1.0, n_max)
+    closed = np.array([math.lgamma(k + g) - math.lgamma(k + 1) - math.lgamma(g)
+                       for k in range(n_max + 1)])
+    assert closed[-1] > 1900.0
+    np.testing.assert_allclose(log_z, closed, rtol=1e-12, atol=1e-12)
+
+
+def _assert_increments_log_concave(log_z, s1):
+    # Z_n / Z_{n-1} lies in [1, S_1] and is non-increasing in n
+    steps = np.diff(log_z)
+    assert steps.min() >= -1e-12
+    assert steps.max() <= math.log(s1) + 1e-12
+    assert np.all(np.diff(steps) <= 1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    energies=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=6),
+    multiplicity=st.integers(min_value=1, max_value=400),
+    beta=st.floats(min_value=0.05, max_value=5.0),
+    n=st.integers(min_value=1, max_value=1500),
+)
+def test_property_increments_on_toy_spectra(energies, multiplicity, beta, n):
+    s = toy_spectrum(energies * multiplicity)
+    log_z = canonical_partition(s, beta, n)
+    _assert_increments_log_concave(log_z, boltzmann_sums(s, beta, 1)[0])
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=1000),
+    box_length=st.floats(min_value=50.0, max_value=3000.0),
+    beta=st.floats(min_value=0.2, max_value=3.0),
+    n=st.integers(min_value=1, max_value=2000),
+)
+def test_property_increments_on_sampled_spectra(index, box_length, beta, n):
+    spec = sampled_spectrum(box_length=box_length, beta=beta,
+                            seed=EnsembleSeed(22, index))
+    log_z = canonical_partition(spec, beta, n)
+    _assert_increments_log_concave(log_z, boltzmann_sums(spec, beta, 1)[0])
+
+
 def test_recursion_matches_enumeration_spot_checks():
     cases = [
         ([0.0, 0.7, 1.9], 0.8, 5),
