@@ -7,7 +7,7 @@ level):
     Z_N   = (1/N) sum_{k=1}^{N} S_k Z_{N-k}            Z_0 = 1
     <n_j> = sum_{k=1}^{N} exp(-k beta (e_j - e_0)) Z_{N-k} / Z_N
 
-The Z recursion runs in the linear domain, one dot product per step, on a
+The Z recursion runs in the linear domain, one sum of products per step, on a
 buffer that is rescaled whenever its newest value passes 1e200; only ln Z
 leaves it.  No value can overflow, because in this gauge Z_n / Z_{n-1} lies
 in [1, S_1] and S_1 is at most the mode count.  The recursion is exact for
@@ -120,6 +120,16 @@ def boltzmann_sums(spectrum: Spectrum, beta: float, max_power: int) -> np.ndarra
     return out
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i, with bits that do not depend on the host's thread count.
+
+    np.dot hands long vectors (above about 10^4 elements for OpenBLAS) to the
+    BLAS thread pool, whose partial sums round differently for each thread
+    count.  einsum reduces in one fixed order on the calling thread.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 def _warn_if_unconverged(spectrum: Spectrum, beta: float) -> bool:
     converged = cutoff_is_converged(spectrum, beta)
     if not converged:
@@ -135,32 +145,28 @@ def _log_partitions(sums: np.ndarray) -> np.ndarray:
     """ln Z_0..ln Z_N from the power sums by the rescaled linear recursion.
 
     The unnormalised Z_j live in one buffer in reverse order (Z_j at index
-    N - j), so each step is a forward, contiguous dot product.  The buffer
-    holds Z_j / exp(shift); when the newest value passes _RESCALE_AT the
-    logs since the last anchor are written out, the live part is divided by
-    that value and its log is added to shift.  This cannot overflow: Z_n /
-    Z_{n-1} lies in [1, S_1], because the ground mode alone gives Z_n >=
-    Z_{n-1} and the generating function prod_j (1 - x_j t)^-1 makes the
-    sequence log-concave, so one step grows the buffer by at most S_1 (at
-    most the mode count) past _RESCALE_AT.
+    N - j), so each step is a forward, contiguous sum of products.  The
+    buffer holds Z_j / exp(shift); when the newest value passes _RESCALE_AT
+    the live part is divided by that value and shift becomes its ln Z.  This
+    cannot overflow: Z_n / Z_{n-1} lies in [1, S_1], because the ground mode
+    alone gives Z_n >= Z_{n-1} and the generating function
+    prod_j (1 - x_j t)^-1 makes the sequence log-concave, so one step grows
+    the buffer by at most S_1 (at most the mode count) past _RESCALE_AT.
     """
     n_max = len(sums)
     log_z = np.zeros(n_max + 1)
     buf = np.zeros(n_max + 1)
     buf[n_max] = 1.0
     shift = 0.0
-    written = 0                     # log_z[:written + 1] is final
     for n in range(1, n_max + 1):
-        value = np.dot(sums[:n], buf[n_max - n + 1:]) / n
+        value = _dot(sums[:n], buf[n_max - n + 1:]) / n
         buf[n_max - n] = value
+        log_z[n] = shift + math.log(value)
         if value > _RESCALE_AT:
             live = buf[n_max - n:]
-            log_z[written + 1:n + 1] = np.log(live[:n - written][::-1]) + shift
-            written = n
             live /= value
             live[live < _FLUSH_BELOW] = 0.0
-            shift += math.log(value)
-    log_z[written + 1:] = np.log(buf[:n_max - written][::-1]) + shift
+            shift = log_z[n]
     return log_z
 
 
@@ -227,7 +233,7 @@ def condensate_profile(spectrum: Spectrum, beta: float, particle_number: int,
     occ = np.array([_occupation_single(float(delta[j]), beta, log_z)
                     for j in range(top_k)])
     ratios = np.exp(log_z[n - 1::-1] - log_z[n])
-    total = float(np.dot(sums, ratios))
+    total = _dot(sums, ratios)
     if abs(total - n) > 1e-8 * n:
         raise RuntimeError(f"occupation total drifted to {total!r} for N={n}")
     return ThermoSolution(

@@ -1,10 +1,15 @@
 """Configuration, ensemble orchestration, report emission, and the CLI."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lslab
 from lslab.disorder import EnsembleSeed, longest_interval, sample_realization
 from lslab.lab import (
     _CONFIG_FIELDS,
@@ -361,3 +366,42 @@ def test_known_checks_cover_all_evaluators():
     config.validate()
     report = run_ensemble(config)
     assert len(report.records) == 1
+
+
+# Runs the scan, then prints ln Z_0..ln Z_N of the same cell, which the
+# records only show through a few derived columns.
+_SCAN_AND_LOG_PARTITIONS = """
+import sys
+from lslab.disorder import EnsembleSeed, sample_realization
+from lslab.lab import main
+from lslab.spectrum import build_spectrum, default_cutoff
+from lslab.thermo import canonical_partition
+assert main(sys.argv[1:]) == 0
+r = sample_realization(1.0, 13000 / 0.6, EnsembleSeed(1, 0))
+print(canonical_partition(build_spectrum(r, default_cutoff(r, 1.0)), 1.0, 13000).tobytes().hex())
+"""
+
+
+def test_scan_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits dot products above about 10^4 elements across its
+    # thread pool; a record at N = 13000 must still replay bit for bit on a
+    # host with another core count or thread setting.
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("density = 0.6\nbeta = 1\nn_schedule = 13000\n"
+                   "realizations_per_n = 1\nbase_seed = 1\nchecks = thermo\n",
+                   encoding="utf-8")
+    src = str(Path(lslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCAN_AND_LOG_PARTITIONS, "scan",
+             "--config", str(cfg), "--output-dir", str(out)],
+            env=env, check=True, capture_output=True, text=True, timeout=300)
+        runs.append((out, proc.stdout.splitlines()[-1]))
+    (out1, log_z1), (out2, log_z2) = runs
+    assert log_z1 == log_z2
+    for name in ("records.csv", "summary.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
