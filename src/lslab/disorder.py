@@ -13,11 +13,12 @@ produced in any order, in parallel, and replayed individually.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "MAX_POINTS",
     "EnsembleSeed",
     "DisorderRealization",
     "sample_realization",
@@ -30,7 +31,10 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
-_TILE_RTOL = 1e-9
+
+# ceiling on the mean point count intensity*box_length; sampling peaks at
+# about 33 bytes per point, so this is under 4 GB
+MAX_POINTS = 10**8
 
 
 def _splitmix64(state: int) -> int:
@@ -68,43 +72,35 @@ class EnsembleSeed:
 
 @dataclass(frozen=True)
 class DisorderRealization:
-    """One point configuration and its interval decomposition.
+    """One point configuration on the open box (-L/2, +L/2).
 
-    intervals is an (n_intervals, 3) array with rows (left, right, length)
-    that tile the box; zero-length pieces are dropped at construction.
+    The sorted points are the whole realization: interval j runs from
+    -L/2 (j = 0) or points[j-1] over interval_lengths[j], so there are
+    n_points + 1 intervals.  interval_lengths is derived from the points
+    once, at construction.
     """
 
     intensity: float
     box_length: float
     points: np.ndarray
-    intervals: np.ndarray
     seed_info: EnsembleSeed
+    interval_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.intensity <= 0 or self.box_length <= 0:
             raise ValueError("intensity and box_length must be positive")
-        half = self.box_length / 2.0
-        pts = self.points
-        if pts.ndim != 1:
+        if self.points.ndim != 1:
             raise ValueError("points must be a 1-d array")
-        if pts.size:
-            if np.any(np.diff(pts) <= 0):
-                raise ValueError("points must be strictly increasing")
-            if pts[0] <= -half or pts[-1] >= half:
-                raise ValueError("points must lie inside the open box")
-        iv = self.intervals
-        if iv.ndim != 2 or iv.shape[1] != 3:
-            raise ValueError("intervals must be an (n, 3) array of (left, right, length)")
-        if not 1 <= iv.shape[0] <= pts.size + 1:
-            raise ValueError("interval count inconsistent with point count")
-        lengths = iv[:, 2]
-        if np.any(lengths <= 0):
-            raise ValueError("interval lengths must be positive")
-        if abs(float(lengths.sum()) - self.box_length) > _TILE_RTOL * self.box_length:
-            raise ValueError("intervals do not tile the box")
+        half = self.box_length / 2.0
+        lengths = np.diff(np.concatenate(([-half], self.points, [half])))
+        # all lengths are > 0 exactly when the points are strictly increasing,
+        # inside the open box and not NaN
+        if not np.all(lengths > 0):
+            raise ValueError("points must be strictly increasing inside the open box")
         # realizations are immutable once built; shared freely across workers
         self.points.setflags(write=False)
-        self.intervals.setflags(write=False)
+        lengths.setflags(write=False)
+        object.__setattr__(self, "interval_lengths", lengths)
 
     @property
     def n_points(self) -> int:
@@ -112,22 +108,7 @@ class DisorderRealization:
 
     @property
     def n_intervals(self) -> int:
-        return int(self.intervals.shape[0])
-
-    @property
-    def interval_lengths(self) -> np.ndarray:
-        return self.intervals[:, 2]
-
-
-def _assemble(intensity: float, box_length: float, points: np.ndarray,
-              seed: EnsembleSeed) -> DisorderRealization:
-    half = box_length / 2.0
-    edges = np.concatenate(([-half], points, [half]))
-    lengths = np.diff(edges)
-    keep = lengths > 0.0
-    intervals = np.column_stack((edges[:-1][keep], edges[1:][keep], lengths[keep]))
-    return DisorderRealization(float(intensity), float(box_length),
-                               np.asarray(points, dtype=float), intervals, seed)
+        return int(self.interval_lengths.size)
 
 
 def sample_realization(intensity: float, box_length: float,
@@ -136,19 +117,23 @@ def sample_realization(intensity: float, box_length: float,
 
     Count first (Poisson with mean intensity*box_length), then that many
     sorted uniforms.  Coincident points are merged and points falling on a
-    box edge are discarded, so the interval decomposition never contains a
-    zero-length piece.
+    box edge are discarded, so every interval has positive length.  A mean
+    count above MAX_POINTS is refused before anything is drawn.
     """
     if intensity <= 0:
         raise ValueError("intensity must be positive")
     if box_length <= 0:
         raise ValueError("box_length must be positive")
+    if intensity * box_length > MAX_POINTS:
+        raise ValueError(
+            f"intensity*box_length = {intensity * box_length:g} points exceeds the "
+            f"sampling ceiling {MAX_POINTS:g}; shrink the box or the intensity")
     rng = seed.generator()
     count = int(rng.poisson(intensity * box_length))
     half = box_length / 2.0
     pts = rng.uniform(-half, half, size=count)
     pts = np.unique(pts[(pts > -half) & (pts < half)])
-    return _assemble(intensity, box_length, pts, seed)
+    return DisorderRealization(float(intensity), float(box_length), pts, seed)
 
 
 def longest_interval(realization: DisorderRealization) -> tuple[float, int]:
@@ -186,7 +171,7 @@ def realization_to_text(realization: DisorderRealization) -> str:
 
 
 def realization_from_text(text: str) -> DisorderRealization:
-    """Inverse of realization_to_text; intervals are rebuilt from the points."""
+    """Inverse of realization_to_text."""
     header: dict[str, str] = {}
     pts: list[float] = []
     for raw in text.splitlines():
@@ -206,4 +191,4 @@ def realization_from_text(text: str) -> DisorderRealization:
         raise ValueError(f"missing realization header field {err}") from None
     if "n_points" in header and int(header["n_points"]) != len(pts):
         raise ValueError("point count does not match the n_points header")
-    return _assemble(intensity, box_length, np.asarray(pts, dtype=float), seed)
+    return DisorderRealization(intensity, box_length, np.asarray(pts, dtype=float), seed)

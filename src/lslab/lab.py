@@ -352,14 +352,22 @@ KNOWN_CHECKS = tuple(CHECKS)
 
 
 def _evaluate_cell(config: ExperimentConfig, n: int, idx: int) -> dict:
-    """All configured checks on realization (base_seed, idx) at size N=n."""
+    """All configured checks on realization (base_seed, idx) at size N=n.
+
+    A check that raises is re-raised as a RuntimeError naming the cell.
+    """
     seed = EnsembleSeed(config.base_seed, idx)
     realization = sample_realization(config.intensity, n / config.density, seed)
     rec: dict = {"n": n, "realization_index": idx, "base_seed": config.base_seed,
                  "box_length": realization.box_length}
     for name in config.checks:
         check = CHECKS[name]
-        values = check.evaluate(config, n, realization)
+        try:
+            values = check.evaluate(config, n, realization)
+        except Exception as err:
+            raise RuntimeError(
+                f"N={n}, realization {idx}, base_seed {config.base_seed}: "
+                f"check {name} failed: {err!r}") from err
         rec.update((check.prefix + f, values[f]) for f in check.fields)
     return rec
 
@@ -674,7 +682,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

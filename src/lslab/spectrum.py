@@ -17,6 +17,7 @@ import numpy as np
 from .disorder import DisorderRealization, longest_interval
 
 __all__ = [
+    "MAX_MODES",
     "EmptySpectrumError",
     "EigenMode",
     "Spectrum",
@@ -37,6 +38,10 @@ PI_SQ = math.pi ** 2
 
 # neglected-Boltzmann-mass target used by default_cutoff / cutoff_is_converged
 TAIL_WEIGHT_TARGET = 1e-12
+
+# ceiling on the modes of one spectrum; building one peaks at about 75 bytes
+# per mode, so this is under 4 GB
+MAX_MODES = 5 * 10**7
 
 
 class EmptySpectrumError(ValueError):
@@ -69,7 +74,7 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Energy-sorted finite spectrum plus the interval table it came from."""
+    """Energy-sorted finite spectrum plus the left edges and lengths of its intervals."""
 
     energies: np.ndarray
     interval_indices: np.ndarray
@@ -78,7 +83,6 @@ class Spectrum:
     interval_lengths: np.ndarray
     energy_cutoff: float
     box_length: float
-    realization_ref: str = ""
 
     def __post_init__(self):
         if self.energies.size == 0:
@@ -102,22 +106,22 @@ class Spectrum:
                          float(self.interval_lefts[j]), float(self.interval_lengths[j]))
 
 
-def _realization_ref(realization: DisorderRealization) -> str:
-    s = realization.seed_info
-    return (f"nu={realization.intensity:.17g};L={realization.box_length:.17g};"
-            f"seed={s.base_seed}:{s.realization_index}")
-
-
 def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Spectrum:
     """All modes with energy <= cutoff, sorted by (energy, interval, harmonic).
 
-    Raises EmptySpectrumError when the cutoff is below pi^2 / l_max^2.
+    Raises EmptySpectrumError when the cutoff is below pi^2 / l_max^2 and
+    refuses more than MAX_MODES modes before allocating them.
     """
     if energy_cutoff <= 0 or not math.isfinite(energy_cutoff):
         raise ValueError("energy_cutoff must be positive and finite")
-    lefts = realization.intervals[:, 0].copy()
-    lengths = realization.intervals[:, 2].copy()
-    n_max = np.floor(lengths * (math.sqrt(energy_cutoff) / PI)).astype(np.int64)
+    lengths = realization.interval_lengths
+    n_max = np.floor(lengths * (math.sqrt(energy_cutoff) / PI))
+    # counted in floating point, so a count past the int64 range is refused too
+    if n_max.sum() > MAX_MODES:
+        raise ValueError(
+            f"cutoff {energy_cutoff:g} gives {n_max.sum():.4g} modes, above the "
+            f"ceiling {MAX_MODES}; lower the cutoff or the box length")
+    n_max = n_max.astype(np.int64)
     # repair floating-point boundary cases against the exact energy formula
     while True:
         bump = dirichlet_energy(n_max + 1, lengths) <= energy_cutoff
@@ -139,9 +143,10 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
     mode_num = np.arange(total, dtype=np.int64) - np.repeat(starts, n_max) + 1
     energies = dirichlet_energy(mode_num, lengths[interval_idx])
     order = np.lexsort((mode_num, interval_idx, energies))
+    # interval j starts at -L/2 (j = 0) or at point j-1
+    lefts = np.concatenate(([-realization.box_length / 2.0], realization.points))
     return Spectrum(energies[order], interval_idx[order], mode_num[order],
-                    lefts, lengths, float(energy_cutoff), realization.box_length,
-                    _realization_ref(realization))
+                    lefts, lengths, float(energy_cutoff), realization.box_length)
 
 
 def ground_state_energy(realization: DisorderRealization) -> float:
@@ -153,8 +158,8 @@ def ground_state_energy(realization: DisorderRealization) -> float:
 def ground_mode(realization: DisorderRealization) -> EigenMode:
     """The lowest mode as an EigenMode record."""
     l_max, idx = longest_interval(realization)
-    return EigenMode(idx, 1, float(dirichlet_energy(1, l_max)),
-                     float(realization.intervals[idx, 0]), l_max)
+    left = realization.points[idx - 1] if idx else -realization.box_length / 2.0
+    return EigenMode(idx, 1, float(dirichlet_energy(1, l_max)), float(left), l_max)
 
 
 def eigenfunction_value(mode: EigenMode, x):

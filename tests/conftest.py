@@ -14,12 +14,7 @@ def make_realization(points, box_length, intensity=1.0, seed=None):
     if seed is None:
         seed = EnsembleSeed(0, 0)
     pts = np.sort(np.asarray(points, dtype=float))
-    half = box_length / 2.0
-    edges = np.concatenate(([-half], pts, [half]))
-    lengths = np.diff(edges)
-    intervals = np.column_stack((edges[:-1], edges[1:], lengths))
-    return DisorderRealization(float(intensity), float(box_length), pts,
-                               intervals, seed)
+    return DisorderRealization(float(intensity), float(box_length), pts, seed)
 
 
 def toy_spectrum(energies, box_length=1.0):
@@ -38,7 +33,6 @@ def toy_spectrum(energies, box_length=1.0):
         interval_lengths=np.array([1.0]),
         energy_cutoff=math.inf,
         box_length=float(box_length),
-        realization_ref="toy",
     )
 
 

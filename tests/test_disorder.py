@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import lslab.disorder
 from lslab.disorder import (
     DisorderRealization,
     EnsembleSeed,
@@ -18,6 +19,7 @@ from lslab.disorder import (
     realization_to_text,
     sample_realization,
 )
+from lslab.spectrum import build_spectrum, default_cutoff, ground_mode
 
 from conftest import make_realization
 
@@ -48,7 +50,8 @@ def test_zero_point_realization_is_single_full_interval():
     r = sample_realization(0.01, 1.0, EnsembleSeed(0, 0))
     assert r.n_points == 0
     assert r.n_intervals == 1
-    np.testing.assert_allclose(r.intervals, [[-0.5, 0.5, 1.0]], atol=0)
+    np.testing.assert_array_equal(r.interval_lengths, [1.0])
+    assert ground_mode(r).interval_left == -0.5
 
 
 @pytest.mark.parametrize("index", [0, 1, 17])
@@ -59,15 +62,15 @@ def test_intervals_tile_the_box(index):
     assert np.all(np.abs(r.points) < 50.0)
     assert np.all(r.interval_lengths > 0)
     assert r.n_intervals == r.n_points + 1
-    # consecutive rows share endpoints
-    np.testing.assert_array_equal(r.intervals[:-1, 1], r.intervals[1:, 0])
+    # the interior pieces are exactly the gaps between consecutive points
+    np.testing.assert_array_equal(r.interval_lengths[1:-1], interior_gaps(r))
 
 
 def test_sampling_is_deterministic_bitwise():
     a = sample_realization(1.0, 500.0, EnsembleSeed(9, 3))
     b = sample_realization(1.0, 500.0, EnsembleSeed(9, 3))
     np.testing.assert_array_equal(a.points, b.points)
-    np.testing.assert_array_equal(a.intervals, b.intervals)
+    np.testing.assert_array_equal(a.interval_lengths, b.interval_lengths)
 
 
 def test_distinct_indices_give_distinct_draws():
@@ -148,7 +151,7 @@ def test_text_round_trip_is_bit_exact():
     assert back.box_length == r.box_length
     assert back.seed_info == r.seed_info
     np.testing.assert_array_equal(back.points, r.points)
-    np.testing.assert_array_equal(back.intervals, r.intervals)
+    np.testing.assert_array_equal(back.interval_lengths, r.interval_lengths)
 
 
 def test_text_rejects_corrupted_count():
@@ -166,11 +169,55 @@ def test_sample_argument_validation():
         sample_realization(1.0, -5.0, EnsembleSeed(0, 0))
 
 
-def test_realization_rejects_inconsistent_geometry():
-    pts = np.array([0.4, 0.2])  # not increasing
-    intervals = np.array([[-0.5, 0.2, 0.7], [0.2, 0.4, 0.2], [0.4, 0.5, 0.1]])
+def test_sampling_refuses_mean_count_above_ceiling_before_drawing(monkeypatch):
+    def no_draw(self):
+        raise AssertionError("a refused sample must draw nothing")
+
+    monkeypatch.setattr(lslab.disorder, "MAX_POINTS", 200)
+    assert sample_realization(2.0, 100.0, EnsembleSeed(0, 0)).n_points > 0
+    monkeypatch.setattr(EnsembleSeed, "generator", no_draw)
+    with pytest.raises(ValueError, match="ceiling"):
+        sample_realization(2.0, 100.5, EnsembleSeed(0, 0))
+
+
+def _reconstructed(r):
+    half = r.box_length / 2.0
+    edges = np.concatenate(([-half], r.points, [half]))
+    return edges[:-1], np.diff(edges)
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(lambda i=i: sample_realization(1.0, 300.0, EnsembleSeed(8, i)),
+                   id=f"sampled{i}") for i in range(4)),
+    pytest.param(lambda: sample_realization(0.01, 1.0, EnsembleSeed(0, 0)), id="no-points"),
+    pytest.param(lambda: make_realization([-2.0, 1.0], 10.0), id="hand-made"),
+    pytest.param(lambda: make_realization([0.25], 1.5, 3.0), id="hand-made-one-point"),
+])
+def test_intervals_are_derived_from_the_points(make):
+    r = make()
+    lefts, lengths = _reconstructed(r)
+    assert r.n_intervals == r.n_points + 1
+    assert r.interval_lengths.flags.c_contiguous
+    assert r.interval_lengths.tobytes() == lengths.tobytes()
+    spec = build_spectrum(r, default_cutoff(r, 1.0))
+    assert spec.interval_lefts.tobytes() == lefts.tobytes()
+    assert spec.interval_lengths.tobytes() == lengths.tobytes()
+    mode = ground_mode(r)
+    assert mode.interval_left == lefts[mode.interval_index]
+
+
+@pytest.mark.parametrize("pts", [
+    [0.4, 0.2],             # not increasing
+    [0.1, 0.1],             # duplicate
+    [-0.5, 0.0],            # on the left box edge
+    [0.0, 0.5],             # on the right box edge
+    [0.7],                  # outside the box
+    [0.0, float("nan")],    # NaN
+    [[0.1, 0.2]],           # 2-d
+], ids=["unsorted", "duplicate", "left-edge", "right-edge", "outside", "nan", "2d"])
+def test_realization_rejects_inconsistent_geometry(pts):
     with pytest.raises(ValueError):
-        DisorderRealization(1.0, 1.0, pts, intervals, EnsembleSeed(0, 0))
+        DisorderRealization(1.0, 1.0, np.array(pts), EnsembleSeed(0, 0))
 
 
 def test_realization_arrays_are_frozen():
@@ -178,7 +225,7 @@ def test_realization_arrays_are_frozen():
     with pytest.raises(ValueError):
         r.points[0] = 0.0
     with pytest.raises(ValueError):
-        r.intervals[0, 0] = 0.0
+        r.interval_lengths[0] = 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,5 +239,4 @@ def test_property_valid_tiling(intensity, box_length, base_seed, index):
     r = sample_realization(intensity, box_length, EnsembleSeed(base_seed, index))
     assert abs(r.interval_lengths.sum() - box_length) <= 1e-9 * box_length
     assert np.all(r.interval_lengths > 0)
-    assert r.intervals[0, 0] == -box_length / 2.0
-    assert r.intervals[-1, 1] == box_length / 2.0
+    assert r.n_intervals == r.n_points + 1

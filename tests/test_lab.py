@@ -349,13 +349,43 @@ def test_cli_scan_and_diag(tmp_path, capsys):
     assert float(v0) == pytest.approx(expected, rel=1e-14)
 
 
-def test_cli_error_paths_return_2(tmp_path, capsys):
+def test_cli_error_paths_return_2(tmp_path, capsys, monkeypatch):
     assert main(["scan", "--checks", "bogus"]) == 2
     assert "unknown checks" in capsys.readouterr().err
     assert main(["scan", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["occupancy", "--particles", "30000"]) == 2
     err = capsys.readouterr().err
     assert "capped" in err or "ceiling" in err
+    # oversized inputs are refused with an error line, not by running out of memory
+    monkeypatch.setattr(lslab.disorder, "MAX_POINTS", 1000)
+    monkeypatch.setattr(lslab.spectrum, "MAX_MODES", 1000)
+    assert main(["sample", "--box-length", "2000"]) == 2
+    assert main(["spectrum", "--box-length", "100", "--cutoff", "1e4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("error:") and "ceiling" in line for line in err)
+
+
+def test_failing_check_names_its_cell(monkeypatch, tmp_path, capsys):
+    def broken(*args, **kwargs):
+        raise FloatingPointError("overflow in box count")
+
+    monkeypatch.setattr(lslab.lab, "check_appendix_count", broken)
+    config = load_config(None, {"checks": "lemma21,appendix", "n_schedule": "100",
+                                "realizations_per_n": "2", "base_seed": "17"})
+    with pytest.raises(RuntimeError) as info:
+        run_ensemble(config, workers=1)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    message = str(info.value)
+    for part in ("N=100", "realization 0", "base_seed 17", "appendix",
+                 "overflow in box count"):
+        assert part in message
+    assert main(["scan", "--checks", "appendix", "--n-schedule", "100",
+                 "--base-seed", "17", "--workers", "1",
+                 "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: N=100, realization 0, base_seed 17")
+    assert "Traceback" not in err
 
 
 def test_known_checks_cover_all_evaluators():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import lslab.spectrum
 from lslab.disorder import EnsembleSeed, sample_realization
 from lslab.spectrum import (
     PI_SQ,
@@ -143,6 +144,19 @@ def test_cutoff_completeness_no_mode_missing_or_extra():
     assert np.all(next_energy > cutoff)
 
 
+def test_mode_count_above_ceiling_is_refused(monkeypatch):
+    r = sample_realization(1.0, 300.0, EnsembleSeed(8, 8))
+    total = len(build_spectrum(r, 25.0))
+    monkeypatch.setattr(lslab.spectrum, "MAX_MODES", total)
+    assert len(build_spectrum(r, 25.0)) == total
+    # about 10^20 modes: past the int64 range, refused rather than wrapped
+    with pytest.raises(ValueError, match="ceiling"):
+        build_spectrum(make_realization([], 10.0), 1e40)
+    monkeypatch.setattr(lslab.spectrum, "MAX_MODES", total - 1)
+    with pytest.raises(ValueError, match="ceiling"):
+        build_spectrum(r, 25.0)
+
+
 def test_default_cutoff_is_converged():
     r = sample_realization(1.0, 1000.0, EnsembleSeed(14, 1))
     for beta in (0.25, 1.0, 4.0):
@@ -174,7 +188,7 @@ def test_spectrum_requires_sorted_energies():
     with pytest.raises(ValueError):
         Spectrum(np.array([2.0, 1.0]), np.zeros(2, dtype=np.int64),
                  np.array([1, 2], dtype=np.int64), np.array([0.0]),
-                 np.array([1.0]), 10.0, 1.0, "bad")
+                 np.array([1.0]), 10.0, 1.0)
 
 
 def test_mode_accessor_consistency():
@@ -184,7 +198,7 @@ def test_mode_accessor_consistency():
         m = s.mode(k)
         assert m.energy == pytest.approx(
             float(dirichlet_energy(m.mode_number, m.interval_length)), rel=1e-15)
-        assert m.interval_left == r.intervals[m.interval_index, 0]
+        assert m.interval_left == np.concatenate(([-50.0], r.points))[m.interval_index]
 
 
 def test_spectrum_text_export():
