@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .disorder import DisorderRealization, count_intervals_at_least, longest_interval
 from .spectrum import EigenMode
@@ -135,6 +133,7 @@ def box_masses(state_profile, box_length: float) -> list[tuple[int, float]]:
                 "state_profile must be an EigenMode or (density, (lo, hi))") from None
         if hi <= lo:
             raise ValueError("support must have positive length")
+        from scipy import integrate  # only a caller-supplied density needs quadrature
         compute = lambda u, v: integrate.quad(density, u, v, epsabs=1e-12, epsrel=1e-12)[0]
         exact = False
     first = math.floor(lo / a)
@@ -366,18 +365,15 @@ def transition_switch_derivative(t):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=1)
 def transition_kinetic_constant() -> float:
     """Kinetic cost of one plateau state: 2 * integral of switch'(t)^2 over (0,1).
 
-    Both switches of a plateau contribute the same integral by symmetry;
-    adaptive quadrature resolves it well below 1e-8.
+    Both switches of a plateau contribute the same integral by symmetry.
+    The literal is 2 * quad(transition_switch_derivative(t)**2, 0, 1) from
+    scipy.integrate (epsabs = epsrel = 1e-10, limit = 200, error estimate
+    2.4e-13), fixed here so it cannot drift with the host's scipy or exp.
     """
-    val, err = integrate.quad(lambda t: transition_switch_derivative(t) ** 2,
-                              0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
-    if err > 1e-8:
-        raise RuntimeError(f"switch quadrature failed to converge: err={err:g}")
-    return 2.0 * val
+    return 3.276541162789398
 
 
 class TrialStateEnergy(NamedTuple):

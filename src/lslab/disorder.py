@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 __all__ = [
     "MAX_POINTS",
     "EnsembleSeed",
     "DisorderRealization",
+    "check_point_budget",
     "sample_realization",
     "longest_interval",
     "count_intervals_at_least",
@@ -66,8 +68,8 @@ class EnsembleSeed:
         state = (int(self.base_seed) + (int(self.realization_index) + 1) * _GOLDEN64) & _MASK64
         return _splitmix64(state)
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.stream_seed()))
+    def generator(self) -> Generator:
+        return Generator(PCG64(self.stream_seed()))
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,14 @@ class DisorderRealization:
         return int(self.interval_lengths.size)
 
 
+def check_point_budget(intensity: float, box_length: float) -> None:
+    """Refuse a mean point count intensity*box_length above MAX_POINTS."""
+    if intensity * box_length > MAX_POINTS:
+        raise ValueError(
+            f"intensity*box_length = {intensity * box_length:g} points exceeds the "
+            f"sampling ceiling {MAX_POINTS:g}; shrink the box or the intensity")
+
+
 def sample_realization(intensity: float, box_length: float,
                        seed: EnsembleSeed) -> DisorderRealization:
     """Draw one realization at the given intensity on a box of this length.
@@ -124,10 +134,7 @@ def sample_realization(intensity: float, box_length: float,
         raise ValueError("intensity must be positive")
     if box_length <= 0:
         raise ValueError("box_length must be positive")
-    if intensity * box_length > MAX_POINTS:
-        raise ValueError(
-            f"intensity*box_length = {intensity * box_length:g} points exceeds the "
-            f"sampling ceiling {MAX_POINTS:g}; shrink the box or the intensity")
+    check_point_budget(intensity, box_length)
     rng = seed.generator()
     count = int(rng.poisson(intensity * box_length))
     half = box_length / 2.0

@@ -27,7 +27,7 @@ from .bounds import (BoundReport, CheckRecord, PowerLogLaw, ScalingDiagnostics,
                      critical_density, format_value, pule_aonghusa_bound,
                      records_to_text, scaling_diagnostics, theorem33_bound,
                      trial_state_energy)
-from .disorder import (EnsembleSeed, realization_to_text, sample_realization)
+from .disorder import EnsembleSeed, check_point_budget, realization_to_text, sample_realization
 from .spectrum import (build_spectrum, default_cutoff, ground_mode,
                        spectrum_to_text)
 from .thermo import (THERMO_MAX_N, condensate_profile, thermo_solution_to_text)
@@ -90,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError("n_schedule entries must be integers >= 2")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ConfigError("n_schedule must be strictly increasing")
+        try:
+            check_point_budget(self.intensity, max(self.n_schedule) / self.density)
+        except ValueError as err:
+            raise ConfigError(f"largest N = {max(self.n_schedule)}: {err}") from None
         if self.realizations_per_n < 1:
             raise ConfigError("realizations_per_n must be >= 1")
         if not 0 <= self.base_seed < 2 ** 64:
@@ -122,10 +126,6 @@ class ExperimentConfig:
 # config parsing
 
 
-def _as_float(value) -> float:
-    return float(value)
-
-
 # int() refuses decimal strings longer than this by default; an exponent must
 # not get round that and build a huge integer
 _INT_MAX_DIGITS = 4300
@@ -144,10 +144,6 @@ def _as_int(value) -> int:
     if number.adjusted() >= _INT_MAX_DIGITS:
         raise ValueError(f"{value!r} has too many digits")
     return int(number)
-
-
-def _as_str(value) -> str:
-    return str(value)
 
 
 def _as_int_list(value) -> tuple[int, ...]:
@@ -181,18 +177,18 @@ def _as_law(value) -> PowerLogLaw:
 _LAW_KEYS = ("hardcore_radius", "interaction_range", "interaction_floor", "delta_width")
 
 _CONFIG_FIELDS = {
-    "intensity": _as_float,
-    "density": _as_float,
-    "beta": _as_float,
+    "intensity": float,
+    "density": float,
+    "beta": float,
     "n_schedule": _as_int_list,
     "realizations_per_n": _as_int,
     "base_seed": _as_int,
     "top_k": _as_int,
     "checks": _as_checks,
-    "output_dir": _as_str,
-    "lemma21_epsilon": _as_float,
-    "lemma21_alpha": _as_float,
-    "interaction_l1_norm": _as_float,
+    "output_dir": str,
+    "lemma21_epsilon": float,
+    "lemma21_alpha": float,
+    "interaction_l1_norm": float,
     "workers": _as_int,
     "hardcore_radius": _as_law,
     "interaction_range": _as_law,

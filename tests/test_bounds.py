@@ -395,11 +395,13 @@ def test_transition_switch_derivative_matches_finite_differences():
     assert transition_switch_derivative(-0.5) == 0.0
 
 
-def test_kinetic_constant_value_and_cache():
+def test_kinetic_constant_matches_quadrature():
     kappa = transition_kinetic_constant()
-    assert 3.2765 < kappa < 3.2766
-    assert kappa == pytest.approx(3.276541162789398, rel=1e-10)
-    assert transition_kinetic_constant() == kappa
+    assert kappa == float.fromhex("0x1.a365b36916d1cp+1")
+    val, err = integrate.quad(lambda t: transition_switch_derivative(t) ** 2,
+                              0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+    assert err < 1e-8
+    assert abs(kappa - 2.0 * val) <= math.ulp(kappa)
 
 
 def test_trial_state_energy_example():

@@ -90,6 +90,7 @@ def test_flag_overrides_beat_file(tmp_path):
     ({"top_k": "1e5000"}, "too many digits"),
     ({"base_seed": "-1"}, r"base_seed must lie in \[0, 2\*\*64\)"),
     ({"base_seed": str(2 ** 64)}, r"base_seed must lie in \[0, 2\*\*64\)"),
+    ({"checks": "appendix", "n_schedule": "1e6,2e8"}, "largest N = 200000000: .*ceiling"),
 ])
 def test_config_rejections(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -366,6 +367,18 @@ def test_cli_error_paths_return_2(tmp_path, capsys, monkeypatch):
     assert all(line.startswith("error:") and "ceiling" in line for line in err)
 
 
+def test_scan_over_point_ceiling_runs_no_cell(monkeypatch, tmp_path, capsys):
+    def must_not_sample(*args, **kwargs):
+        pytest.fail("a cell was sampled before the schedule was checked")
+
+    monkeypatch.setattr(lslab.lab, "sample_realization", must_not_sample)
+    assert main(["scan", "--n-schedule", "1e6,2e8", "--realizations-per-n", "4",
+                 "--checks", "appendix", "--workers", "1",
+                 "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: largest N = 200000000") and "ceiling" in err
+
+
 def test_failing_check_names_its_cell(monkeypatch, tmp_path, capsys):
     def broken(*args, **kwargs):
         raise FloatingPointError("overflow in box count")
@@ -398,6 +411,13 @@ def test_known_checks_cover_all_evaluators():
     assert len(report.records) == 1
 
 
+def _source_env() -> dict:
+    """The environment for a fresh interpreter that imports this lslab."""
+    src = str(Path(lslab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 # Runs the scan, then prints ln Z_0..ln Z_N of the same cell, which the
 # records only show through a few derived columns.
 _SCAN_AND_LOG_PARTITIONS = """
@@ -420,12 +440,10 @@ def test_scan_bytes_do_not_depend_on_blas_threads(tmp_path):
     cfg.write_text("density = 0.6\nbeta = 1\nn_schedule = 13000\n"
                    "realizations_per_n = 1\nbase_seed = 1\nchecks = thermo\n",
                    encoding="utf-8")
-    src = str(Path(lslab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     runs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        env = dict(_source_env(), OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-c", _SCAN_AND_LOG_PARTITIONS, "scan",
              "--config", str(cfg), "--output-dir", str(out)],
@@ -435,3 +453,27 @@ def test_scan_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert log_z1 == log_z2
     for name in ("records.csv", "summary.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# A scan with every check in a fresh interpreter, then the one call that
+# integrates a caller-supplied density.
+_SCAN_WITHOUT_SCIPY = """
+import sys
+import lslab
+from lslab.lab import KNOWN_CHECKS, main
+assert main(["scan", "--n-schedule", "100,200", "--realizations-per-n", "2",
+             "--checks", ",".join(KNOWN_CHECKS), "--output-dir", sys.argv[1]]) == 0
+assert len(KNOWN_CHECKS) == 6
+assert "scipy" not in sys.modules, "scipy was imported"
+masses = lslab.box_masses((lambda x: 0.25, (0.5, 4.5)), 1.0)
+assert [n for n, _ in masses] == [0, 1, 2, 3, 4]
+assert abs(sum(m for _, m in masses) - 1.0) < 1e-12
+assert "scipy" in sys.modules
+"""
+
+
+def test_import_and_scan_load_no_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _SCAN_WITHOUT_SCIPY, str(tmp_path)],
+                          env=_source_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "records.csv").exists()
