@@ -7,24 +7,22 @@ survives.
 """
 
 from .disorder import (DisorderRealization, EnsembleSeed, count_intervals_at_least,
-                       interior_gaps, longest_interval, realization_from_text,
-                       realization_to_text, sample_realization)
+                       longest_interval, realization_from_text, realization_to_text,
+                       sample_realization)
 from .spectrum import (EigenMode, EmptySpectrumError, Spectrum, build_spectrum,
                        cutoff_is_converged, default_cutoff, dirichlet_energy,
-                       eigenfunction_value, ground_mode, ground_state_energy,
-                       mode_overlap, spectrum_to_text, weyl_mode_count)
+                       ground_mode, ground_state_energy, spectrum_to_text,
+                       weyl_mode_count)
 from .thermo import (THERMO_MAX_N, CutoffConvergenceWarning, ThermoSolution,
                      boltzmann_sums, canonical_occupation, canonical_occupations,
                      canonical_partition, condensate_profile,
-                     estimate_saturation_density,
-                     grand_canonical_chemical_potential, saturation_density,
+                     estimate_saturation_density, saturation_density,
                      thermo_solution_to_text)
-from .bounds import (BoundReport, CheckRecord, PowerLogLaw, ScalingDiagnostics,
-                     ScalingSpec, TrialStateEnergy, VoidTrialStateError,
-                     box_count_criterion, box_masses, check_appendix_count,
-                     check_lemma21, critical_density, envelope_check,
-                     localization_criterion, pule_aonghusa_bound,
-                     records_to_text, scaling_diagnostics, theorem33_bound,
+from .bounds import (CheckRecord, PowerLogLaw, ScalingDiagnostics, ScalingSpec,
+                     TrialStateEnergy, VoidTrialStateError, box_count_criterion,
+                     box_masses, check_appendix_count, check_lemma21,
+                     critical_density, pule_aonghusa_bound, records_to_text,
+                     scaling_diagnostics, theorem33_bound,
                      transition_kinetic_constant, transition_switch,
                      transition_switch_derivative, trial_state_energy)
 from .lab import (ConfigError, EnsembleReport, ExperimentConfig, KNOWN_CHECKS,

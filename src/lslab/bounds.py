@@ -25,7 +25,6 @@ __all__ = [
     "ScalingSpec",
     "ScalingDiagnostics",
     "CheckRecord",
-    "BoundReport",
     "check_lemma21",
     "box_masses",
     "pule_aonghusa_bound",
@@ -33,8 +32,6 @@ __all__ = [
     "scaling_diagnostics",
     "critical_density",
     "box_count_criterion",
-    "envelope_check",
-    "localization_criterion",
     "transition_switch",
     "transition_switch_derivative",
     "transition_kinetic_constant",
@@ -195,38 +192,6 @@ def box_count_criterion(support_box_count: int, particle_number: float) -> float
     if particle_number <= 0:
         raise ValueError("particle_number must be positive")
     return float(support_box_count) ** 2 / float(particle_number)
-
-
-def envelope_check(state_samples, center: float, coefficient: float,
-                   eps: float, inner_radius: float) -> bool:
-    """Decay-envelope test |phi(x)| <= C / |x - center|^(1+eps) beyond a radius.
-
-    state_samples is a sequence of (x, |phi(x)|) pairs; at least one sample
-    must lie beyond inner_radius for the check to mean anything.
-    """
-    if coefficient <= 0:
-        raise ValueError("coefficient must be positive")
-    if not 0.0 < eps <= 0.5:
-        raise ValueError("eps must lie in (0, 1/2]")
-    if inner_radius <= 0:
-        raise ValueError("inner_radius must be positive")
-    samples = np.asarray(state_samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 2:
-        raise ValueError("state_samples must be pairs (x, |phi(x)|)")
-    dist = np.abs(samples[:, 0] - center)
-    far = dist > inner_radius
-    if not far.any():
-        raise ValueError("samples must cover the region beyond inner_radius")
-    return bool(np.all(samples[far, 1] <= coefficient / dist[far] ** (1.0 + eps)))
-
-
-def localization_criterion(gamma: float, alpha_exp: float) -> bool:
-    """Eigenfunction-decay sufficiency gamma >= 1/3 - alpha_exp."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
-    if not 0.0 < alpha_exp <= 1.0 / 3.0:
-        raise ValueError("alpha_exp must lie in (0, 1/3]")
-    return gamma >= 1.0 / 3.0 - alpha_exp
 
 
 # ---------------------------------------------------------------------------
@@ -446,13 +411,6 @@ class CheckRecord:
     inputs: dict
     values: dict
     passed: bool | None = None
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """A batch of check records, e.g. everything evaluated on one realization."""
-
-    records: tuple[CheckRecord, ...]
 
 
 def format_value(value) -> str:

@@ -26,7 +26,6 @@ __all__ = [
     "sample_realization",
     "longest_interval",
     "count_intervals_at_least",
-    "interior_gaps",
     "realization_to_text",
     "realization_from_text",
 ]
@@ -155,11 +154,6 @@ def count_intervals_at_least(realization: DisorderRealization, threshold: float)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     return int(np.count_nonzero(realization.interval_lengths >= threshold))
-
-
-def interior_gaps(realization: DisorderRealization) -> np.ndarray:
-    """Gaps between consecutive points (edge pieces excluded)."""
-    return np.diff(realization.points)
 
 
 def realization_to_text(realization: DisorderRealization) -> str:

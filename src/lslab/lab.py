@@ -21,12 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (BoundReport, CheckRecord, PowerLogLaw, ScalingDiagnostics,
-                     ScalingSpec, VoidTrialStateError, box_count_criterion,
-                     box_masses, check_appendix_count, check_lemma21,
-                     critical_density, format_value, pule_aonghusa_bound,
-                     records_to_text, scaling_diagnostics, theorem33_bound,
-                     trial_state_energy)
+from .bounds import (CheckRecord, PowerLogLaw, ScalingDiagnostics, ScalingSpec,
+                     VoidTrialStateError, box_count_criterion, box_masses,
+                     check_appendix_count, check_lemma21, critical_density,
+                     format_value, pule_aonghusa_bound, records_to_text,
+                     scaling_diagnostics, theorem33_bound, trial_state_energy)
 from .disorder import EnsembleSeed, check_point_budget, realization_to_text, sample_realization
 from .spectrum import (build_spectrum, default_cutoff, ground_mode,
                        spectrum_to_text)
@@ -102,6 +101,13 @@ class ExperimentConfig:
             raise ConfigError("top_k must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # refused even when the check that reads them is off
+        if not 0.0 < self.lemma21_epsilon < 1.0:
+            raise ConfigError("lemma21_epsilon must lie in (0, 1)")
+        if not self.lemma21_alpha > 4.0:
+            raise ConfigError("lemma21_alpha must exceed 4")
+        if not self.interaction_l1_norm >= 0.0:
+            raise ConfigError("interaction_l1_norm must be nonnegative")
         if not self.checks:
             raise ConfigError("no checks configured")
         unknown = [c for c in self.checks if c not in KNOWN_CHECKS]
@@ -494,7 +500,8 @@ def emit_report(report: EnsembleReport, output_dir: str | Path) -> list[Path]:
     return paths
 
 
-def single_realization_checks(config: ExperimentConfig, n: int, idx: int) -> BoundReport:
+def single_realization_checks(config: ExperimentConfig, n: int, idx: int
+                              ) -> tuple[CheckRecord, ...]:
     """The configured checks on one realization, as replayable CheckRecords."""
     rec = _evaluate_cell(config, n, idx)
     meta = {key: rec[key] for key in _META_COLUMNS}
@@ -506,7 +513,7 @@ def single_realization_checks(config: ExperimentConfig, n: int, idx: int) -> Bou
         passed = (bool(rec[check.prefix + check.pass_field])
                   if check.pass_field else None)
         records.append(CheckRecord(name, dict(meta), values, passed))
-    return BoundReport(tuple(records))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +564,8 @@ def _cmd_bounds(args) -> int:
     overrides["n_schedule"] = str(args.particles)
     overrides["realizations_per_n"] = 1
     config = load_config(args.config, overrides)
-    report = single_realization_checks(config, int(args.particles), args.index)
-    _emit_text(records_to_text(report.records), args.output)
+    records = single_realization_checks(config, int(args.particles), args.index)
+    _emit_text(records_to_text(records), args.output)
     return 0
 
 

@@ -25,8 +25,6 @@ __all__ = [
     "build_spectrum",
     "ground_state_energy",
     "ground_mode",
-    "eigenfunction_value",
-    "mode_overlap",
     "weyl_mode_count",
     "default_cutoff",
     "cutoff_is_converged",
@@ -74,12 +72,11 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Energy-sorted finite spectrum plus the left edges and lengths of its intervals."""
+    """Energy-sorted finite spectrum plus the lengths of its intervals."""
 
     energies: np.ndarray
     interval_indices: np.ndarray
     mode_numbers: np.ndarray
-    interval_lefts: np.ndarray
     interval_lengths: np.ndarray
     energy_cutoff: float
     box_length: float
@@ -90,7 +87,7 @@ class Spectrum:
         if np.any(np.diff(self.energies) < 0):
             raise ValueError("energies must be sorted ascending")
         for arr in (self.energies, self.interval_indices, self.mode_numbers,
-                    self.interval_lefts, self.interval_lengths):
+                    self.interval_lengths):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -99,11 +96,6 @@ class Spectrum:
     @property
     def ground_energy(self) -> float:
         return float(self.energies[0])
-
-    def mode(self, k: int) -> EigenMode:
-        j = int(self.interval_indices[k])
-        return EigenMode(j, int(self.mode_numbers[k]), float(self.energies[k]),
-                         float(self.interval_lefts[j]), float(self.interval_lengths[j]))
 
 
 def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Spectrum:
@@ -143,10 +135,8 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
     mode_num = np.arange(total, dtype=np.int64) - np.repeat(starts, n_max) + 1
     energies = dirichlet_energy(mode_num, lengths[interval_idx])
     order = np.lexsort((mode_num, interval_idx, energies))
-    # interval j starts at -L/2 (j = 0) or at point j-1
-    lefts = np.concatenate(([-realization.box_length / 2.0], realization.points))
     return Spectrum(energies[order], interval_idx[order], mode_num[order],
-                    lefts, lengths, float(energy_cutoff), realization.box_length)
+                    lengths, float(energy_cutoff), realization.box_length)
 
 
 def ground_state_energy(realization: DisorderRealization) -> float:
@@ -160,27 +150,6 @@ def ground_mode(realization: DisorderRealization) -> EigenMode:
     l_max, idx = longest_interval(realization)
     left = realization.points[idx - 1] if idx else -realization.box_length / 2.0
     return EigenMode(idx, 1, float(dirichlet_energy(1, l_max)), float(left), l_max)
-
-
-def eigenfunction_value(mode: EigenMode, x):
-    """sqrt(2/l) sin(n pi (x - left)/l) inside the mode's interval, 0 outside."""
-    x = np.asarray(x, dtype=float)
-    t = (x - mode.interval_left) / mode.interval_length
-    amp = math.sqrt(2.0 / mode.interval_length)
-    val = np.where((t > 0.0) & (t < 1.0),
-                   amp * np.sin(mode.mode_number * PI * t), 0.0)
-    return float(val) if val.ndim == 0 else val
-
-
-def mode_overlap(a: EigenMode, b: EigenMode) -> float:
-    """Closed-form L2 inner product of two modes (sine product identity)."""
-    if a.interval_index != b.interval_index:
-        return 0.0
-    n, m = a.mode_number, b.mode_number
-    if n == m:
-        return 1.0 - math.sin(2.0 * PI * n) / (2.0 * PI * n)
-    return (math.sin((n - m) * PI) / ((n - m) * PI)
-            - math.sin((n + m) * PI) / ((n + m) * PI))
 
 
 def weyl_mode_count(lengths, energy: float) -> int:

@@ -12,10 +12,10 @@ buffer that is rescaled whenever its newest value passes 1e200; only ln Z
 leaves it.  No value can overflow, because in this gauge Z_n / Z_{n-1} lies
 in [1, S_1] and S_1 is at most the mode count.  The recursion is exact for
 the canonical ensemble at fixed particle number and costs O(N^2);
-THERMO_MAX_N marks the desk-scale ceiling.  A grand canonical solver is
-included for cross-checks, and saturation_density gives the density the
-excited modes hold when the chemical potential is pushed to the band edge,
-which is the natural empirical estimate of where condensation sets in.
+THERMO_MAX_N marks the desk-scale ceiling.  saturation_density gives the
+density the excited modes hold when the chemical potential is pushed to the
+band edge, which is the natural empirical estimate of where condensation
+sets in.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "canonical_occupation",
     "canonical_occupations",
     "condensate_profile",
-    "grand_canonical_chemical_potential",
     "saturation_density",
     "estimate_saturation_density",
     "thermo_solution_to_text",
@@ -79,10 +78,6 @@ class ThermoSolution:
     condensate_fraction: float
     box_length: float
     cutoff_converged: bool
-
-    @property
-    def top_k(self) -> int:
-        return int(self.occupations.size)
 
     @property
     def log_partition(self) -> float:
@@ -247,40 +242,6 @@ def condensate_profile(spectrum: Spectrum, beta: float, particle_number: int,
         box_length=spectrum.box_length,
         cutoff_converged=converged,
     )
-
-
-def grand_canonical_chemical_potential(spectrum: Spectrum, beta: float,
-                                       particle_number: int) -> float:
-    """Chemical potential mu < e0 with total Bose occupancy equal to N.
-
-    Plain bisection on the monotone occupancy map; the bracket is chosen so
-    the ground term alone overshoots at the top and the whole sum
-    undershoots at the bottom.  Converges far below the 1e-8 contract.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    n = int(particle_number)
-    if n < 1:
-        raise ValueError("particle_number must be a positive integer")
-    energies = spectrum.energies
-    e0 = float(energies[0])
-    m = float(len(spectrum))
-
-    def total(mu: float) -> float:
-        with np.errstate(over="ignore"):
-            return float((1.0 / np.expm1(beta * (energies - mu))).sum())
-
-    lo = e0 - math.log1p(2.0 * m / n) / beta    # total <= M/(2M/N) = N/2
-    hi = e0 - math.log1p(0.5 / n) / beta        # ground term alone = 2N
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if total(mid) < n:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
 
 
 def saturation_density(spectrum: Spectrum, beta: float) -> float:

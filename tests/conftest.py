@@ -29,7 +29,6 @@ def toy_spectrum(energies, box_length=1.0):
         energies=e,
         interval_indices=np.zeros(m, dtype=np.int64),
         mode_numbers=np.arange(1, m + 1, dtype=np.int64),
-        interval_lefts=np.array([0.0]),
         interval_lengths=np.array([1.0]),
         energy_cutoff=math.inf,
         box_length=float(box_length),

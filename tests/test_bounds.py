@@ -19,9 +19,7 @@ from lslab.bounds import (
     check_appendix_count,
     check_lemma21,
     critical_density,
-    envelope_check,
     format_value,
-    localization_criterion,
     pule_aonghusa_bound,
     records_to_text,
     scaling_diagnostics,
@@ -32,7 +30,7 @@ from lslab.bounds import (
     trial_state_energy,
 )
 from lslab.disorder import EnsembleSeed, longest_interval, sample_realization
-from lslab.spectrum import EigenMode, dirichlet_energy, eigenfunction_value, ground_mode
+from lslab.spectrum import EigenMode, dirichlet_energy, ground_mode
 
 from conftest import make_realization
 
@@ -102,9 +100,11 @@ def test_box_masses_match_quadrature():
     masses = box_masses(mode, 0.5)
     assert [n for n, _ in masses] == [0, 1, 2, 3]
     assert abs(sum(m for _, m in masses) - 1.0) < 1e-12
+    # |phi|^2 = (2/l) sin^2(n pi (x - left)/l) on the mode's interval
+    density = lambda x: 2.0 / 1.4 * math.sin(math.pi * (x - 0.3) / 1.4) ** 2
     for n, m in masses:
         lo, hi = max(0.5 * n, 0.3), min(0.5 * (n + 1), 1.7)
-        oracle, _ = integrate.quad(lambda x: eigenfunction_value(mode, x) ** 2, lo, hi)
+        oracle, _ = integrate.quad(density, lo, hi)
         assert abs(m - oracle) < 1e-9
 
 
@@ -241,55 +241,6 @@ def test_box_count_criterion_shrinks_along_schedule():
             vals.append(box_count_criterion(s, n))
         medians.append(np.median(vals))
     assert medians[0] > medians[1] > medians[2]
-
-
-def test_envelope_compact_support_passes():
-    samples = [(x, 0.0) for x in np.linspace(2.0, 50.0, 25)]
-    samples += [(1.2, 0.9), (0.3, 1.4)]
-    assert envelope_check(samples, center=0.0, coefficient=1e-6, eps=0.5,
-                          inner_radius=1.5)
-
-
-def test_envelope_slow_tail_fails():
-    xs = np.linspace(2.0, 80.0, 60)
-    samples = [(x, 1.0 / x) for x in xs]
-    assert not envelope_check(samples, center=0.0, coefficient=1.0, eps=0.5,
-                              inner_radius=1.5)
-
-
-def test_envelope_on_sampled_eigenmode():
-    r = sample_realization(1.0, 2000.0, EnsembleSeed(37, 0))
-    gm = ground_mode(r)
-    center = gm.interval_left + gm.interval_length / 2.0
-    xs = np.linspace(-1000.0, 1000.0, 4001)
-    samples = np.column_stack((xs, np.abs(eigenfunction_value(gm, xs))))
-    assert envelope_check(samples, center=center, coefficient=1.0, eps=0.5,
-                          inner_radius=gm.interval_length)
-
-
-def test_envelope_validation():
-    near_only = [(0.1, 1.0), (0.5, 1.0)]
-    with pytest.raises(ValueError):
-        envelope_check(near_only, 0.0, 1.0, 0.5, 2.0)
-    far = [(5.0, 0.0)]
-    with pytest.raises(ValueError):
-        envelope_check(far, 0.0, 1.0, 0.7, 2.0)  # eps beyond (0, 1/2]
-    with pytest.raises(ValueError):
-        envelope_check(far, 0.0, -1.0, 0.5, 2.0)
-    with pytest.raises(ValueError):
-        envelope_check([5.0, 0.0], 0.0, 1.0, 0.5, 2.0)  # not pairs
-
-
-def test_localization_criterion():
-    assert localization_criterion(0.0, 1.0 / 3.0)         # boundary 0 >= 0
-    assert not localization_criterion(0.1, 0.1)           # 0.1 < 1/3 - 0.1
-    assert localization_criterion(0.9, 0.3)
-    with pytest.raises(ValueError):
-        localization_criterion(1.0, 0.1)
-    with pytest.raises(ValueError):
-        localization_criterion(0.5, 0.0)
-    with pytest.raises(ValueError):
-        localization_criterion(0.5, 0.4)
 
 
 # ---------------------------------------------------------------------------

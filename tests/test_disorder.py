@@ -13,7 +13,6 @@ from lslab.disorder import (
     DisorderRealization,
     EnsembleSeed,
     count_intervals_at_least,
-    interior_gaps,
     longest_interval,
     realization_from_text,
     realization_to_text,
@@ -63,7 +62,7 @@ def test_intervals_tile_the_box(index):
     assert np.all(r.interval_lengths > 0)
     assert r.n_intervals == r.n_points + 1
     # the interior pieces are exactly the gaps between consecutive points
-    np.testing.assert_array_equal(r.interval_lengths[1:-1], interior_gaps(r))
+    np.testing.assert_array_equal(r.interval_lengths[1:-1], np.diff(r.points))
 
 
 def test_sampling_is_deterministic_bitwise():
@@ -94,7 +93,7 @@ def test_gap_law_is_exponential():
     trials = 400
     for i in range(trials):
         r = sample_realization(2.0, 200.0, EnsembleSeed(123, i))
-        gaps = interior_gaps(r)
+        gaps = np.diff(r.points)
         if gaps.size < 10:
             continue
         p = stats.kstest(gaps, "expon", args=(0, 1 / 2.0)).pvalue
@@ -105,7 +104,7 @@ def test_gap_law_is_exponential():
 def test_mean_gap_inverse_intensity():
     # nu=1, L=10^6: the mean interior gap estimates 1/nu within 2%.
     gaps = np.concatenate([
-        interior_gaps(sample_realization(1.0, 1e6, EnsembleSeed(2, i)))
+        np.diff(sample_realization(1.0, 1e6, EnsembleSeed(2, i)).points)
         for i in range(50)
     ])
     assert abs(gaps.mean() - 1.0) < 0.02
@@ -200,7 +199,6 @@ def test_intervals_are_derived_from_the_points(make):
     assert r.interval_lengths.flags.c_contiguous
     assert r.interval_lengths.tobytes() == lengths.tobytes()
     spec = build_spectrum(r, default_cutoff(r, 1.0))
-    assert spec.interval_lefts.tobytes() == lefts.tobytes()
     assert spec.interval_lengths.tobytes() == lengths.tobytes()
     mode = ground_mode(r)
     assert mode.interval_left == lefts[mode.interval_index]

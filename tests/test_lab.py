@@ -91,6 +91,10 @@ def test_flag_overrides_beat_file(tmp_path):
     ({"base_seed": "-1"}, r"base_seed must lie in \[0, 2\*\*64\)"),
     ({"base_seed": str(2 ** 64)}, r"base_seed must lie in \[0, 2\*\*64\)"),
     ({"checks": "appendix", "n_schedule": "1e6,2e8"}, "largest N = 200000000: .*ceiling"),
+    # check parameters are refused even when the check that reads them is off
+    ({"checks": "appendix", "lemma21_epsilon": "2"}, r"lemma21_epsilon must lie in \(0, 1\)"),
+    ({"checks": "appendix", "lemma21_alpha": "3"}, "lemma21_alpha must exceed 4"),
+    ({"checks": "appendix", "interaction_l1_norm": "-1"}, "interaction_l1_norm must be nonnegative"),
 ])
 def test_config_rejections(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -242,10 +246,10 @@ def test_single_realization_checks_records():
     config = load_config(None, {"checks": "lemma21,trial_energy,scaling",
                                 "n_schedule": "100", "realizations_per_n": "1",
                                 "base_seed": "77"})
-    bound_report = single_realization_checks(config, 100, 0)
-    names = [rec.name for rec in bound_report.records]
-    assert names == ["lemma21", "scaling", "trial_energy"]
-    lemma = bound_report.records[0]
+    records = single_realization_checks(config, 100, 0)
+    assert isinstance(records, tuple)
+    assert [rec.name for rec in records] == ["lemma21", "scaling", "trial_energy"]
+    lemma = records[0]
     assert lemma.passed is not None
     assert lemma.inputs["n"] == 100
     assert lemma.inputs["base_seed"] == 77

@@ -1,26 +1,22 @@
-"""Dirichlet spectra: construction, eigenfunctions, cutoff policy."""
+"""Dirichlet spectra: construction, ground mode, cutoff policy."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 import lslab.spectrum
 from lslab.disorder import EnsembleSeed, sample_realization
 from lslab.spectrum import (
     PI_SQ,
-    EigenMode,
     EmptySpectrumError,
     Spectrum,
     build_spectrum,
     cutoff_is_converged,
     default_cutoff,
     dirichlet_energy,
-    eigenfunction_value,
     ground_mode,
     ground_state_energy,
-    mode_overlap,
     spectrum_to_text,
     weyl_mode_count,
 )
@@ -76,8 +72,9 @@ def test_ground_mode_matches_spectrum_head():
     r = sample_realization(1.0, 300.0, EnsembleSeed(4, 2))
     s = build_spectrum(r, default_cutoff(r, 1.0))
     gm = ground_mode(r)
-    head = s.mode(0)
-    assert gm == head
+    assert gm.energy == s.energies[0]
+    assert (gm.interval_index, gm.mode_number) == (s.interval_indices[0], s.mode_numbers[0])
+    assert gm.interval_length == s.interval_lengths[gm.interval_index]
 
 
 def test_median_ground_energy_scales_like_inverse_log_squared():
@@ -89,37 +86,6 @@ def test_median_ground_energy_scales_like_inverse_log_squared():
     target = PI_SQ / math.log(L) ** 2
     ratio = np.median(vals) / target
     assert 0.25 < ratio < 4.0
-
-
-def test_eigenfunction_midpoint_and_boundary():
-    mode = EigenMode(0, 1, PI_SQ, 0.0, 1.0)
-    assert eigenfunction_value(mode, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert eigenfunction_value(mode, 0.0) == 0.0
-    assert eigenfunction_value(mode, 1.0) == 0.0
-    assert eigenfunction_value(mode, -3.7) == 0.0
-    assert eigenfunction_value(mode, 1.0001) == 0.0
-
-
-@pytest.mark.parametrize("left,length,n", [(0.0, 1.0, 1), (0.3, 1.4, 3), (-7.0, 2.5, 5)])
-def test_eigenfunction_normalization_by_quadrature(left, length, n):
-    e = float(dirichlet_energy(n, length))
-    mode = EigenMode(0, n, e, left, length)
-    val, _ = integrate.quad(lambda x: eigenfunction_value(mode, x) ** 2,
-                            left, left + length, limit=200)
-    assert abs(val - 1.0) < 1e-10
-
-
-def test_mode_overlap_orthonormality():
-    a = EigenMode(0, 2, float(dirichlet_energy(2, 1.7)), 0.3, 1.7)
-    b = EigenMode(0, 5, float(dirichlet_energy(5, 1.7)), 0.3, 1.7)
-    assert abs(mode_overlap(a, b)) < 1e-12
-    assert mode_overlap(a, a) == pytest.approx(1.0, abs=1e-12)
-    other = EigenMode(1, 2, float(dirichlet_energy(2, 1.7)), 5.0, 1.7)
-    assert mode_overlap(a, other) == 0.0
-    quad_val, _ = integrate.quad(
-        lambda x: eigenfunction_value(a, x) * eigenfunction_value(b, x),
-        0.3, 2.0, limit=400)
-    assert abs(quad_val - mode_overlap(a, b)) < 1e-9
 
 
 def test_weyl_count_matches_built_spectrum():
@@ -187,18 +153,17 @@ def test_empty_spectrum_error_and_validation():
 def test_spectrum_requires_sorted_energies():
     with pytest.raises(ValueError):
         Spectrum(np.array([2.0, 1.0]), np.zeros(2, dtype=np.int64),
-                 np.array([1, 2], dtype=np.int64), np.array([0.0]),
-                 np.array([1.0]), 10.0, 1.0)
+                 np.array([1, 2], dtype=np.int64), np.array([1.0]), 10.0, 1.0)
 
 
 def test_mode_accessor_consistency():
     r = sample_realization(1.0, 100.0, EnsembleSeed(19, 0))
     s = build_spectrum(r, 30.0)
     for k in (0, len(s) // 2, len(s) - 1):
-        m = s.mode(k)
-        assert m.energy == pytest.approx(
-            float(dirichlet_energy(m.mode_number, m.interval_length)), rel=1e-15)
-        assert m.interval_left == np.concatenate(([-50.0], r.points))[m.interval_index]
+        length = s.interval_lengths[s.interval_indices[k]]
+        assert length == r.interval_lengths[s.interval_indices[k]]
+        assert s.energies[k] == pytest.approx(
+            float(dirichlet_energy(s.mode_numbers[k], length)), rel=1e-15)
 
 
 def test_spectrum_text_export():

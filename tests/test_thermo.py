@@ -19,7 +19,6 @@ from lslab.thermo import (
     canonical_partition,
     condensate_profile,
     estimate_saturation_density,
-    grand_canonical_chemical_potential,
     saturation_density,
     thermo_solution_to_text,
 )
@@ -254,7 +253,6 @@ def test_profile_matches_single_mode_occupation():
     n0 = canonical_occupation(spec, 1.0, 1000, 0)
     assert sol.condensate_density == n0 / spec.box_length
     assert sol.condensate_fraction == pytest.approx(n0 / 1000.0, rel=1e-15)
-    assert sol.top_k == 8
     assert sol.occupations.shape == (8,)
 
 
@@ -320,46 +318,6 @@ def test_cutoff_insensitivity_beyond_default():
     occ_a = canonical_occupation(build_spectrum(r, ec), 1.0, 50, 0)
     occ_b = canonical_occupation(build_spectrum(r, 1.6 * ec), 1.0, 50, 0)
     assert abs(occ_a - occ_b) < 1e-9
-
-
-def test_chemical_potential_single_level_closed_form():
-    s = toy_spectrum([0.0])
-    for beta in (0.5, 1.0, 2.0):
-        for n in (1, 5, 50):
-            mu = grand_canonical_chemical_potential(s, beta, n)
-            assert mu == pytest.approx(-math.log1p(1.0 / n) / beta, rel=1e-12)
-
-
-def test_chemical_potential_two_level_frozen_oracle():
-    # High-precision bisection oracle (40-digit arithmetic) for levels {0,1},
-    # beta=1, N=1; agrees with the closed form
-    # mu = -ln(((1+e) + sqrt(1 - e + e^2)) / e).
-    s = toy_spectrum([0.0, 1.0])
-    mu = grand_canonical_chemical_potential(s, 1.0, 1)
-    assert mu == pytest.approx(-0.8082265699635466, abs=1e-12)
-
-
-def test_chemical_potential_monotone_and_below_ground():
-    s = toy_spectrum([0.2, 0.9, 1.4])
-    mus = [grand_canonical_chemical_potential(s, 1.0, n) for n in (1, 2, 5, 20)]
-    assert all(m < 0.2 for m in mus)
-    assert np.all(np.diff(mus) > 0.0)
-
-
-def test_chemical_potential_shift_covariance():
-    base = toy_spectrum([0.0, 1.0, 2.5])
-    lifted = toy_spectrum([3.0, 4.0, 5.5])
-    mu0 = grand_canonical_chemical_potential(base, 0.7, 4)
-    mu3 = grand_canonical_chemical_potential(lifted, 0.7, 4)
-    assert mu3 - mu0 == pytest.approx(3.0, abs=1e-10)
-
-
-def test_chemical_potential_solves_occupancy_equation():
-    spec = sampled_spectrum(box_length=800.0, seed=EnsembleSeed(16, 0))
-    n = 100
-    mu = grand_canonical_chemical_potential(spec, 1.0, n)
-    total = (1.0 / np.expm1(1.0 * (spec.energies - mu))).sum()
-    assert total == pytest.approx(n, rel=1e-8)
 
 
 def test_saturation_density_closed_form_and_estimator():
