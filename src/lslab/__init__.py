@@ -18,15 +18,13 @@ from .thermo import (THERMO_MAX_N, CutoffConvergenceWarning, ThermoSolution,
                      canonical_partition, condensate_profile,
                      estimate_saturation_density, saturation_density,
                      thermo_solution_to_text)
-from .bounds import (CheckRecord, PowerLogLaw, ScalingDiagnostics, ScalingSpec,
-                     TrialStateEnergy, VoidTrialStateError, box_count_criterion,
-                     box_masses, check_appendix_count, check_lemma21,
-                     critical_density, pule_aonghusa_bound, records_to_text,
-                     scaling_diagnostics, theorem33_bound,
+from .bounds import (PowerLogLaw, ScalingDiagnostics, ScalingSpec, TrialStateEnergy,
+                     VoidTrialStateError, box_count_criterion, box_masses,
+                     check_appendix_count, check_lemma21, critical_density,
+                     pule_aonghusa_bound, scaling_diagnostics, theorem33_bound,
                      transition_kinetic_constant, transition_switch,
                      transition_switch_derivative, trial_state_energy)
 from .lab import (ConfigError, EnsembleReport, ExperimentConfig, KNOWN_CHECKS,
-                  default_scaling_spec, emit_report, load_config, main,
-                  run_ensemble, single_realization_checks)
+                  default_scaling_spec, emit_report, load_config, main, run_ensemble)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disorder import DisorderRealization, count_intervals_at_least, longest_interval
+from .disorder import DisorderRealization, count_intervals_at_least
 from .spectrum import EigenMode
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "PowerLogLaw",
     "ScalingSpec",
     "ScalingDiagnostics",
-    "CheckRecord",
     "check_lemma21",
     "box_masses",
     "pule_aonghusa_bound",
@@ -38,7 +37,6 @@ __all__ = [
     "trial_state_energy",
     "check_appendix_count",
     "format_value",
-    "records_to_text",
 ]
 
 # intervals at least this long can host one unit plateau plus two unit switches
@@ -80,7 +78,7 @@ def check_lemma21(realization: DisorderRealization, epsilon: float = 0.5,
     log_l = math.log(big_l)
     lower = (log_l - (1.0 + epsilon) * math.log(log_l)) / nu
     upper = alpha * log_l / nu
-    l_max, _ = longest_interval(realization)
+    l_max = float(realization.interval_lengths.max())
     return Lemma21Result(l_max >= lower, l_max <= upper, l_max, lower, upper)
 
 
@@ -106,33 +104,17 @@ def _mode_mass_between(mode: EigenMode, a: float, b: float) -> float:
     return anti(u1) - anti(u0)
 
 
-def box_masses(state_profile, box_length: float) -> list[tuple[int, float]]:
-    """Per-box probability masses on the grid of boxes [a n, a (n+1)), n integer.
+def box_masses(mode: EigenMode, box_length: float) -> list[tuple[int, float]]:
+    """Per-box masses of an eigenmode on the grid of boxes [a n, a (n+1)), n integer.
 
-    state_profile is either an EigenMode (closed-form integrals, no
-    quadrature) or a pair (density_callable, (lo, hi)) integrated by
-    adaptive quadrature.  Returns (box_index, mass) for every box meeting
-    the support; masses sum to 1 for a normalized state.
+    The masses are closed-form integrals of |phi|^2.  Returns (box_index,
+    mass) for every box meeting the mode's interval; the masses sum to 1.
     """
     a = float(box_length)
     if a <= 0:
         raise ValueError("box_length must be positive")
-    if isinstance(state_profile, EigenMode):
-        lo = state_profile.interval_left
-        hi = lo + state_profile.interval_length
-        compute = lambda u, v: _mode_mass_between(state_profile, u, v)
-        exact = True
-    else:
-        try:
-            density, (lo, hi) = state_profile
-        except (TypeError, ValueError):
-            raise ValueError(
-                "state_profile must be an EigenMode or (density, (lo, hi))") from None
-        if hi <= lo:
-            raise ValueError("support must have positive length")
-        from scipy import integrate  # only a caller-supplied density needs quadrature
-        compute = lambda u, v: integrate.quad(density, u, v, epsabs=1e-12, epsrel=1e-12)[0]
-        exact = False
+    lo = mode.interval_left
+    hi = lo + mode.interval_length
     first = math.floor(lo / a)
     last = math.floor(hi / a)
     # boxes are half-open [a n, a (n+1)): a support ending exactly on a box
@@ -141,11 +123,8 @@ def box_masses(state_profile, box_length: float) -> list[tuple[int, float]]:
         last -= 1
     masses = []
     for n in range(first, last + 1):
-        m = compute(max(n * a, lo), min((n + 1) * a, hi))
+        m = _mode_mass_between(mode, max(n * a, lo), min((n + 1) * a, hi))
         masses.append((n, max(m, 0.0)))
-    total = sum(m for _, m in masses)
-    if not exact and abs(total - 1.0) > 1e-6:
-        raise ValueError(f"state is not normalized: mass total {total!r}")
     return masses
 
 
@@ -236,10 +215,6 @@ class ScalingSpec:
             raise ValueError("interaction_range must stay bounded above")
 
 
-_DIAGNOSTIC_NAMES = ("hardcore_vanishing", "range_growth", "floor_range_growth",
-                     "delta_growth")
-
-
 @dataclass(frozen=True)
 class ScalingDiagnostics:
     """Diagnostic sequences on a grid, with the tail trend of each."""
@@ -247,11 +222,6 @@ class ScalingDiagnostics:
     n_grid: np.ndarray
     columns: dict[str, np.ndarray]
     trends: dict[str, str]
-
-    def rows(self):
-        cols = [self.columns[name] for name in _DIAGNOSTIC_NAMES]
-        for i, n in enumerate(self.n_grid):
-            yield (int(n), *(float(c[i]) for c in cols))
 
 
 def _tail_trend(values: np.ndarray) -> str:
@@ -400,17 +370,7 @@ def check_appendix_count(realization: DisorderRealization,
 
 
 # ---------------------------------------------------------------------------
-# check records
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    """One evaluated check: inputs, computed values, optional verdict."""
-
-    name: str
-    inputs: dict
-    values: dict
-    passed: bool | None = None
+# value formatting
 
 
 def format_value(value) -> str:
@@ -423,17 +383,3 @@ def format_value(value) -> str:
         return f"{float(value):.17g}"
     return str(value)
 
-
-def records_to_text(records) -> str:
-    """Flat key-value dump, one line per field, grouped by check."""
-    lines = []
-    for rec in records:
-        for key, val in rec.inputs.items():
-            lines.append(f"{rec.name}.in.{key} = {format_value(val)}")
-        for key, val in rec.values.items():
-            lines.append(f"{rec.name}.{key} = {format_value(val)}")
-        if rec.passed is not None:
-            lines.append(f"{rec.name}.pass = {format_value(rec.passed)}")
-    if not lines:
-        raise ValueError("no records to format")
-    return "\n".join(lines) + "\n"

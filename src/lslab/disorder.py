@@ -88,8 +88,8 @@ class DisorderRealization:
     interval_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.intensity <= 0 or self.box_length <= 0:
-            raise ValueError("intensity and box_length must be positive")
+        if not (0 < self.intensity < np.inf and 0 < self.box_length < np.inf):
+            raise ValueError("intensity and box_length must be positive and finite")
         if self.points.ndim != 1:
             raise ValueError("points must be a 1-d array")
         half = self.box_length / 2.0
@@ -129,10 +129,10 @@ def sample_realization(intensity: float, box_length: float,
     box edge are discarded, so every interval has positive length.  A mean
     count above MAX_POINTS is refused before anything is drawn.
     """
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
-    if box_length <= 0:
-        raise ValueError("box_length must be positive")
+    if not 0 < intensity < np.inf:
+        raise ValueError("intensity must be positive and finite")
+    if not 0 < box_length < np.inf:
+        raise ValueError("box_length must be positive and finite")
     check_point_budget(intensity, box_length)
     rng = seed.generator()
     count = int(rng.poisson(intensity * box_length))

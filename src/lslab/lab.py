@@ -21,11 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (CheckRecord, PowerLogLaw, ScalingDiagnostics, ScalingSpec,
-                     VoidTrialStateError, box_count_criterion, box_masses,
-                     check_appendix_count, check_lemma21, critical_density,
-                     format_value, pule_aonghusa_bound, records_to_text,
-                     scaling_diagnostics, theorem33_bound, trial_state_energy)
+from .bounds import (PowerLogLaw, ScalingDiagnostics, ScalingSpec, VoidTrialStateError,
+                     box_count_criterion, box_masses, check_appendix_count,
+                     check_lemma21, critical_density, format_value,
+                     pule_aonghusa_bound, scaling_diagnostics, theorem33_bound,
+                     trial_state_energy)
 from .disorder import EnsembleSeed, check_point_budget, realization_to_text, sample_realization
 from .spectrum import (build_spectrum, default_cutoff, ground_mode,
                        spectrum_to_text)
@@ -40,7 +40,6 @@ __all__ = [
     "load_config",
     "run_ensemble",
     "emit_report",
-    "single_realization_checks",
     "main",
 ]
 
@@ -81,8 +80,9 @@ class ExperimentConfig:
     scaling: ScalingSpec = field(default_factory=default_scaling_spec)
 
     def validate(self) -> None:
-        if self.intensity <= 0 or self.density <= 0 or self.beta <= 0:
-            raise ConfigError("intensity, density and beta must be positive")
+        for key in ("intensity", "density", "beta"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be positive and finite")
         if not self.n_schedule:
             raise ConfigError("n_schedule must not be empty")
         if any(int(n) != n or n < 2 for n in self.n_schedule):
@@ -500,20 +500,22 @@ def emit_report(report: EnsembleReport, output_dir: str | Path) -> list[Path]:
     return paths
 
 
-def single_realization_checks(config: ExperimentConfig, n: int, idx: int
-                              ) -> tuple[CheckRecord, ...]:
-    """The configured checks on one realization, as replayable CheckRecords."""
-    rec = _evaluate_cell(config, n, idx)
-    meta = {key: rec[key] for key in _META_COLUMNS}
-    records = []
-    for name in config.checks:
+def _cell_text(checks, rec: dict) -> str:
+    """One cell's record as `check.key = value` lines, grouped by check.
+
+    Each check repeats the meta columns as `check.in.key`, then lists its
+    fields, with its verdict (if any) last as `check.pass`.
+    """
+    lines = []
+    for name in checks:
         check = CHECKS[name]
-        values = {f: rec[check.prefix + f] for f in check.fields
-                  if f != check.pass_field}
-        passed = (bool(rec[check.prefix + check.pass_field])
-                  if check.pass_field else None)
-        records.append(CheckRecord(name, dict(meta), values, passed))
-    return tuple(records)
+        lines.extend(f"{name}.in.{key} = {format_value(rec[key])}" for key in _META_COLUMNS)
+        lines.extend(f"{name}.{f} = {format_value(rec[check.prefix + f])}"
+                     for f in check.fields if f != check.pass_field)
+        if check.pass_field:
+            passed = bool(rec[check.prefix + check.pass_field])
+            lines.append(f"{name}.pass = {format_value(passed)}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +566,8 @@ def _cmd_bounds(args) -> int:
     overrides["n_schedule"] = str(args.particles)
     overrides["realizations_per_n"] = 1
     config = load_config(args.config, overrides)
-    records = single_realization_checks(config, int(args.particles), args.index)
-    _emit_text(records_to_text(records), args.output)
+    rec = _evaluate_cell(config, args.particles, args.index)
+    _emit_text(_cell_text(config.checks, rec), args.output)
     return 0
 
 
@@ -584,7 +586,9 @@ def _cmd_diag(args) -> int:
                                _as_int_list(args.n_grid))
     names = list(diag.columns)
     lines = ["n," + ",".join(names)]
-    lines.extend(",".join(format_value(v) for v in row) for row in diag.rows())
+    for i, n in enumerate(diag.n_grid):
+        row = [int(n), *(float(col[i]) for col in diag.columns.values())]
+        lines.append(",".join(map(format_value, row)))
     lines.extend(f"# tail trend {name} = {diag.trends[name]}" for name in names)
     _emit_text("\n".join(lines) + "\n", args.output)
     return 0

@@ -166,8 +166,8 @@ def default_cutoff(realization: DisorderRealization, beta: float) -> float:
     Picks E_cut so that exp(-beta (E_cut - e0)) times the number of modes
     below 4 E_cut stays under TAIL_WEIGHT_TARGET (with a factor-2 margin).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     e0 = ground_state_energy(realization)
     lengths = realization.interval_lengths
     log_target = math.log(TAIL_WEIGHT_TARGET) + math.log(0.5)
@@ -183,8 +183,8 @@ def default_cutoff(realization: DisorderRealization, beta: float) -> float:
 
 def cutoff_is_converged(spectrum: Spectrum, beta: float) -> bool:
     """Whether the truncated Boltzmann weight is negligible at this beta."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     if not math.isfinite(spectrum.energy_cutoff):
         return True
     count = max(weyl_mode_count(spectrum.interval_lengths, 4.0 * spectrum.energy_cutoff), 1)

@@ -102,8 +102,8 @@ def boltzmann_sums(spectrum: Spectrum, beta: float, max_power: int) -> np.ndarra
     Terms below exp(_EXP_FLOOR) are dropped; since S_k >= 1 (the ground mode
     contributes 1 exactly) this cannot move any sum at the 1e-12 level.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     k_max = int(max_power)
     if k_max < 1:
         raise ValueError("max_power must be >= 1")
@@ -229,7 +229,7 @@ def condensate_profile(spectrum: Spectrum, beta: float, particle_number: int,
                     for j in range(top_k)])
     ratios = np.exp(log_z[n - 1::-1] - log_z[n])
     total = _dot(sums, ratios)
-    if abs(total - n) > 1e-8 * n:
+    if not abs(total - n) <= 1e-8 * n:
         raise RuntimeError(f"occupation total drifted to {total!r} for N={n}")
     return ThermoSolution(
         beta=float(beta),
@@ -246,8 +246,8 @@ def condensate_profile(spectrum: Spectrum, beta: float, particle_number: int,
 
 def saturation_density(spectrum: Spectrum, beta: float) -> float:
     """Density held by the excited modes at the band-edge chemical potential."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise ValueError("beta must be positive and finite")
     delta = spectrum.energies - spectrum.energies[0]
     excited = delta[delta > 0.0]
     return float((1.0 / np.expm1(beta * excited)).sum() / spectrum.box_length)

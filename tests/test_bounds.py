@@ -10,7 +10,6 @@ from scipy import integrate
 
 from lslab.bounds import (
     AppendixCountResult,
-    CheckRecord,
     PowerLogLaw,
     ScalingSpec,
     VoidTrialStateError,
@@ -21,7 +20,6 @@ from lslab.bounds import (
     critical_density,
     format_value,
     pule_aonghusa_bound,
-    records_to_text,
     scaling_diagnostics,
     theorem33_bound,
     transition_kinetic_constant,
@@ -108,15 +106,6 @@ def test_box_masses_match_quadrature():
         assert abs(m - oracle) < 1e-9
 
 
-def test_box_masses_uniform_state_on_one_box():
-    profile = ((lambda x: 2.0), (0.0, 0.5))
-    masses = box_masses(profile, 0.5)
-    assert len(masses) == 1
-    n, m = masses[0]
-    assert n == 0
-    assert m == pytest.approx(1.0, abs=1e-9)
-
-
 def test_box_masses_negative_coordinates():
     mode = EigenMode(3, 2, float(dirichlet_energy(2, 1.4)), -3.2, 1.4)
     masses = box_masses(mode, 0.5)
@@ -128,12 +117,6 @@ def test_box_masses_validation():
     mode = EigenMode(0, 1, float(dirichlet_energy(1, 1.0)), 0.0, 1.0)
     with pytest.raises(ValueError):
         box_masses(mode, 0.0)
-    with pytest.raises(ValueError):
-        box_masses(((lambda x: 1.0), (2.0, 1.0)), 0.5)
-    with pytest.raises(ValueError):
-        box_masses("not a profile", 0.5)
-    with pytest.raises(ValueError):
-        box_masses(((lambda x: 5.0), (0.0, 1.0)), 0.5)  # mass 5, not normalized
 
 
 def test_pule_aonghusa_extremes():
@@ -309,10 +292,10 @@ def test_constant_radius_diagnostic_decreases_everywhere_past_8():
 
 def test_scaling_diagnostics_rows_and_validation():
     diag = scaling_diagnostics(default_spec(), [100, 1000])
-    rows = list(diag.rows())
-    assert len(rows) == 2
-    assert rows[0][0] == 100
-    assert rows[0][1] == diag.columns["hardcore_vanishing"][0]
+    assert list(diag.n_grid) == [100, 1000]
+    assert list(diag.columns) == ["hardcore_vanishing", "range_growth",
+                                  "floor_range_growth", "delta_growth"]
+    assert all(col.shape == (2,) for col in diag.columns.values())
     with pytest.raises(ValueError):
         scaling_diagnostics(default_spec(), [1, 10])
     with pytest.raises(ValueError):
@@ -425,15 +408,3 @@ def test_format_value():
     assert format_value(7) == "7"
     assert format_value(0.1) == "0.10000000000000001"
 
-
-def test_records_to_text_layout():
-    rec = CheckRecord("lemma21", inputs={"L": 100.0, "alpha": 5.0},
-                      values={"l_max": 7.25}, passed=True)
-    text = records_to_text([rec])
-    lines = text.strip().split("\n")
-    assert "lemma21.in.L = 100" in lines
-    assert "lemma21.in.alpha = 5" in lines
-    assert "lemma21.l_max = 7.25" in lines
-    assert "lemma21.pass = 1" in lines
-    with pytest.raises(ValueError):
-        records_to_text([])

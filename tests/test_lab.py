@@ -13,6 +13,7 @@ import lslab
 from lslab.disorder import EnsembleSeed, longest_interval, sample_realization
 from lslab.lab import (
     _CONFIG_FIELDS,
+    CHECKS,
     KNOWN_CHECKS,
     _build_parser,
     _overrides,
@@ -24,7 +25,6 @@ from lslab.lab import (
     load_config,
     main,
     run_ensemble,
-    single_realization_checks,
 )
 from lslab.spectrum import build_spectrum, default_cutoff
 from lslab.thermo import condensate_profile, thermo_solution_to_text
@@ -95,6 +95,11 @@ def test_flag_overrides_beat_file(tmp_path):
     ({"checks": "appendix", "lemma21_epsilon": "2"}, r"lemma21_epsilon must lie in \(0, 1\)"),
     ({"checks": "appendix", "lemma21_alpha": "3"}, "lemma21_alpha must exceed 4"),
     ({"checks": "appendix", "interaction_l1_norm": "-1"}, "interaction_l1_norm must be nonnegative"),
+    # NaN and infinity fail the positivity guards too, naming the key
+    ({"intensity": "nan"}, "intensity must be positive and finite"),
+    ({"density": "nan"}, "density must be positive and finite"),
+    ({"beta": "nan"}, "beta must be positive and finite"),
+    ({"beta": "inf"}, "beta must be positive and finite"),
 ])
 def test_config_rejections(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -242,18 +247,44 @@ def test_emit_report_rejects_empty_and_unknown_format(tmp_path):
         emit_report(EnsembleReport(config, report.columns, []), tmp_path)
 
 
-def test_single_realization_checks_records():
-    config = load_config(None, {"checks": "lemma21,trial_energy,scaling",
-                                "n_schedule": "100", "realizations_per_n": "1",
-                                "base_seed": "77"})
-    records = single_realization_checks(config, 100, 0)
-    assert isinstance(records, tuple)
-    assert [rec.name for rec in records] == ["lemma21", "scaling", "trial_energy"]
-    lemma = records[0]
-    assert lemma.passed is not None
-    assert lemma.inputs["n"] == 100
-    assert lemma.inputs["base_seed"] == 77
-    assert set(lemma.values) == {"l_max", "lower", "upper", "lower_ok", "upper_ok"}
+def test_single_realization_checks_records(tmp_path):
+    out = tmp_path / "bounds.txt"
+    assert main(["bounds", "--particles", "100", "--checks", "lemma21,trial_energy,scaling",
+                 "--base-seed", "77", "-o", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    keys = [line.partition(" = ")[0] for line in lines]
+    # checks in registry order, each opening with its inputs
+    assert [k.split(".")[0] for k in keys if k.endswith(".in.n")] \
+        == ["lemma21", "scaling", "trial_energy"]
+    assert "lemma21.in.n = 100" in lines
+    assert "lemma21.in.base_seed = 77" in lines
+    # the verdict comes last, once; a check without one prints no pass line
+    assert [k for k in keys if k.startswith("lemma21.") and ".in." not in k] == [
+        "lemma21.l_max", "lemma21.lower", "lemma21.upper", "lemma21.lower_ok",
+        "lemma21.upper_ok", "lemma21.pass"]
+    assert "scaling.pass" not in keys
+
+
+def test_bounds_text_matches_scan_record(tmp_path):
+    checks = ",".join(KNOWN_CHECKS)
+    assert main(["scan", "--n-schedule", "1000", "--realizations-per-n", "4",
+                 "--base-seed", "7", "--checks", checks,
+                 "--output-dir", str(tmp_path)]) == 0
+    out = tmp_path / "bounds.txt"
+    assert main(["bounds", "--particles", "1000", "--base-seed", "7", "--index", "3",
+                 "--checks", checks, "-o", str(out)]) == 0
+    header, *rows = (tmp_path / "records.csv").read_text(encoding="utf-8").splitlines()
+    row = dict(zip(header.split(","), rows[3].split(",")))
+    assert row["realization_index"] == "3"
+    expected = []
+    for check in CHECKS.values():
+        expected += [f"{check.name}.in.{key} = {row[key]}"
+                     for key in ("n", "realization_index", "base_seed", "box_length")]
+        expected += [f"{check.name}.{f} = {row[check.prefix + f]}"
+                     for f in check.fields if f != check.pass_field]
+        if check.pass_field is not None:
+            expected.append(f"{check.name}.pass = {row[check.prefix + check.pass_field]}")
+    assert out.read_text(encoding="utf-8").splitlines() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +392,9 @@ def test_cli_error_paths_return_2(tmp_path, capsys, monkeypatch):
     assert main(["occupancy", "--particles", "30000"]) == 2
     err = capsys.readouterr().err
     assert "capped" in err or "ceiling" in err
+    # a NaN input is refused by name, not by a numpy message
+    assert main(["sample", "--intensity", "nan", "--box-length", "10"]) == 2
+    assert capsys.readouterr().err == "error: intensity must be positive and finite\n"
     # oversized inputs are refused with an error line, not by running out of memory
     monkeypatch.setattr(lslab.disorder, "MAX_POINTS", 1000)
     monkeypatch.setattr(lslab.spectrum, "MAX_MODES", 1000)
@@ -459,8 +493,8 @@ def test_scan_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-# A scan with every check in a fresh interpreter, then the one call that
-# integrates a caller-supplied density.
+# A scan with every check in a fresh interpreter, then the box masses of a
+# ground mode.
 _SCAN_WITHOUT_SCIPY = """
 import sys
 import lslab
@@ -468,11 +502,10 @@ from lslab.lab import KNOWN_CHECKS, main
 assert main(["scan", "--n-schedule", "100,200", "--realizations-per-n", "2",
              "--checks", ",".join(KNOWN_CHECKS), "--output-dir", sys.argv[1]]) == 0
 assert len(KNOWN_CHECKS) == 6
-assert "scipy" not in sys.modules, "scipy was imported"
-masses = lslab.box_masses((lambda x: 0.25, (0.5, 4.5)), 1.0)
-assert [n for n, _ in masses] == [0, 1, 2, 3, 4]
+r = lslab.sample_realization(1.0, 100.0, lslab.EnsembleSeed(1, 0))
+masses = lslab.box_masses(lslab.ground_mode(r), 0.5)
 assert abs(sum(m for _, m in masses) - 1.0) < 1e-12
-assert "scipy" in sys.modules
+assert "scipy" not in sys.modules, "scipy was imported"
 """
 
 

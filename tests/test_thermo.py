@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lslab.thermo
 from lslab.disorder import EnsembleSeed, sample_realization
 from lslab.spectrum import build_spectrum, default_cutoff
 from lslab.thermo import (
@@ -262,6 +263,14 @@ def test_profile_total_is_conserved():
     sol = condensate_profile(spec, 1.0, n, top_k=5)
     assert sol.occupations.sum() + sol.tail_occupation == pytest.approx(n, rel=1e-8)
     assert sol.log_partition == canonical_partition(spec, 1.0, n)[-1]
+
+
+def test_profile_refuses_a_nan_occupation_total(monkeypatch):
+    # a NaN total must fail the drift check, not slip past a `>` comparison
+    monkeypatch.setattr(lslab.thermo, "_log_partitions",
+                        lambda sums: np.full(len(sums) + 1, np.nan))
+    with pytest.raises(RuntimeError, match="drifted to nan"):
+        condensate_profile(toy_spectrum([0.0, 0.5, 1.0]), 1.0, 3, top_k=2)
 
 
 def test_profile_one_particle_is_gibbs_weight():
