@@ -25,6 +25,6 @@ from .bounds import (PowerLogLaw, ScalingDiagnostics, ScalingSpec, TrialStateEne
                      transition_kinetic_constant, transition_switch,
                      transition_switch_derivative, trial_state_energy)
 from .lab import (ConfigError, EnsembleReport, ExperimentConfig, KNOWN_CHECKS,
-                  default_scaling_spec, emit_report, load_config, main, run_ensemble)
+                  emit_report, load_config, main, run_ensemble)
 
 __version__ = "0.1.0"

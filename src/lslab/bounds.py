@@ -186,6 +186,8 @@ class PowerLogLaw:
     log_exponent: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.coefficient, self.exponent, self.log_exponent))):
+            raise ValueError("coefficient, exponent and log_exponent must be finite")
         if self.coefficient <= 0:
             raise ValueError("coefficient must be positive")
 

@@ -34,7 +34,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 # ceiling on the mean point count intensity*box_length; sampling peaks at
-# about 33 bytes per point, so this is under 4 GB
+# about 25 bytes per point, so this is under 3 GB
 MAX_POINTS = 10**8
 
 
@@ -138,7 +138,12 @@ def sample_realization(intensity: float, box_length: float,
     count = int(rng.poisson(intensity * box_length))
     half = box_length / 2.0
     pts = rng.uniform(-half, half, size=count)
-    pts = np.unique(pts[(pts > -half) & (pts < half)])
+    pts.sort()
+    # sorted, a repeat follows its first copy: keep first copies inside the open box
+    keep = (pts > -half) & (pts < half)
+    keep[1:] &= pts[1:] != pts[:-1]
+    pts = pts[keep]
+    del keep  # one byte per point, freed before the interval lengths are built
     return DisorderRealization(float(intensity), float(box_length), pts, seed)
 
 

@@ -14,7 +14,7 @@ import math
 import operator
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import Callable
@@ -36,7 +36,6 @@ __all__ = [
     "ExperimentConfig",
     "EnsembleReport",
     "KNOWN_CHECKS",
-    "default_scaling_spec",
     "load_config",
     "run_ensemble",
     "emit_report",
@@ -49,15 +48,6 @@ class ConfigError(ValueError):
 
 
 _META_COLUMNS = ("n", "realization_index", "base_seed", "box_length")
-
-
-def default_scaling_spec() -> ScalingSpec:
-    return ScalingSpec(
-        hardcore_radius=PowerLogLaw(1.0, -0.25),
-        interaction_range=PowerLogLaw(1.0, -0.2),
-        interaction_floor=PowerLogLaw(1.0, 0.0),
-        delta_width=PowerLogLaw(1.0, -0.2),
-    )
 
 
 @dataclass(frozen=True)
@@ -77,22 +67,32 @@ class ExperimentConfig:
     lemma21_alpha: float = 5.0
     interaction_l1_norm: float = 1.0
     workers: int = 1
-    scaling: ScalingSpec = field(default_factory=default_scaling_spec)
+    hardcore_radius: PowerLogLaw = PowerLogLaw(1.0, -0.25)
+    interaction_range: PowerLogLaw = PowerLogLaw(1.0, -0.2)
+    interaction_floor: PowerLogLaw = PowerLogLaw(1.0, 0.0)
+    delta_width: PowerLogLaw = PowerLogLaw(1.0, -0.2)
 
-    def validate(self) -> None:
+    @property
+    def scaling(self) -> ScalingSpec:
+        """The four laws together; raises ValueError on an unbounded radius or range."""
+        return ScalingSpec(self.hardcore_radius, self.interaction_range,
+                           self.interaction_floor, self.delta_width)
+
+    def validate_keys(self) -> None:
+        """Refuse any key whose own value is out of range."""
         for key in ("intensity", "density", "beta"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be positive and finite")
+        try:
+            self.scaling  # builds the ScalingSpec, which refuses an unbounded radius or range
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if not self.n_schedule:
             raise ConfigError("n_schedule must not be empty")
         if any(int(n) != n or n < 2 for n in self.n_schedule):
             raise ConfigError("n_schedule entries must be integers >= 2")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ConfigError("n_schedule must be strictly increasing")
-        try:
-            check_point_budget(self.intensity, max(self.n_schedule) / self.density)
-        except ValueError as err:
-            raise ConfigError(f"largest N = {max(self.n_schedule)}: {err}") from None
         if self.realizations_per_n < 1:
             raise ConfigError("realizations_per_n must be >= 1")
         if not 0 <= self.base_seed < 2 ** 64:
@@ -104,15 +104,23 @@ class ExperimentConfig:
         # refused even when the check that reads them is off
         if not 0.0 < self.lemma21_epsilon < 1.0:
             raise ConfigError("lemma21_epsilon must lie in (0, 1)")
-        if not self.lemma21_alpha > 4.0:
-            raise ConfigError("lemma21_alpha must exceed 4")
-        if not self.interaction_l1_norm >= 0.0:
-            raise ConfigError("interaction_l1_norm must be nonnegative")
+        if not 4.0 < self.lemma21_alpha < math.inf:
+            raise ConfigError("lemma21_alpha must exceed 4 and be finite")
+        if not 0.0 <= self.interaction_l1_norm < math.inf:
+            raise ConfigError("interaction_l1_norm must be nonnegative and finite")
         if not self.checks:
             raise ConfigError("no checks configured")
         unknown = [c for c in self.checks if c not in KNOWN_CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
+
+    def validate(self) -> None:
+        """validate_keys, then refuse a schedule that the configured checks cannot run."""
+        self.validate_keys()
+        try:
+            check_point_budget(self.intensity, max(self.n_schedule) / self.density)
+        except ValueError as err:
+            raise ConfigError(f"largest N = {max(self.n_schedule)}: {err}") from None
         if "lemma21" in self.checks and self.n_schedule[0] / self.density <= math.e:
             raise ConfigError("lemma21 needs box lengths above e; raise N or lower density")
         if "thermo" in self.checks and max(self.n_schedule) > THERMO_MAX_N:
@@ -120,7 +128,7 @@ class ExperimentConfig:
                 f"thermo check is O(N^2) and capped at N={THERMO_MAX_N}; trim the "
                 "schedule or drop the thermo check for the largest sizes")
         if "hardcore_bound" in self.checks:
-            radius_sup = max(self.scaling.hardcore_radius(n) for n in self.n_schedule)
+            radius_sup = max(self.hardcore_radius(n) for n in self.n_schedule)
             ceiling = critical_density(radius_sup)
             if self.density >= ceiling:
                 raise ConfigError(
@@ -173,9 +181,7 @@ def _as_law(value) -> PowerLogLaw:
     if isinstance(value, PowerLogLaw):
         return value
     parts = [float(t) for t in str(value).split(",") if t.strip()]
-    if len(parts) == 2:
-        parts.append(0.0)
-    if len(parts) != 3:
+    if len(parts) not in (2, 3):
         raise ValueError("expected 'coefficient,exponent[,log_exponent]'")
     return PowerLogLaw(*parts)
 
@@ -216,12 +222,14 @@ def _parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def load_config(path: str | Path | None = None, overrides: dict | None = None
-                ) -> ExperimentConfig:
+def load_config(path: str | Path | None = None, overrides: dict | None = None,
+                scan: bool = True) -> ExperimentConfig:
     """Build a validated config from an optional flat key-value file plus overrides.
 
     Override entries with value None are ignored, so argparse defaults can be
-    passed straight through; explicit flags win over the file.
+    passed straight through; explicit flags win over the file.  With
+    scan=False only each key's own value is checked (validate_keys), for a
+    caller that reads some keys but runs neither the schedule nor the checks.
     """
     raw: dict = {}
     if path is not None:
@@ -229,25 +237,18 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     kwargs: dict = {}
-    laws: dict[str, PowerLogLaw] = {}
     for key, value in raw.items():
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"unknown config key: {key}")
         try:
-            converted = _CONFIG_FIELDS[key](value)
+            kwargs[key] = _CONFIG_FIELDS[key](value)
         except ValueError as err:
             raise ConfigError(f"bad value for {key}: {err}") from None
-        if key in _LAW_KEYS:
-            laws[key] = converted
-        else:
-            kwargs[key] = converted
-    if laws:
-        kwargs["scaling"] = replace(default_scaling_spec(), **laws)
-    try:
-        config = ExperimentConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    config.validate()
+    config = ExperimentConfig(**kwargs)
+    if scan:
+        config.validate()
+    else:
+        config.validate_keys()
     return config
 
 
@@ -285,7 +286,7 @@ def _eval_thermo(config, n, realization):
 
 
 def _eval_hardcore(config, n, realization):
-    radius = config.scaling.hardcore_radius(n)
+    radius = config.hardcore_radius(n)
     masses = box_masses(ground_mode(realization), radius)
     support = sum(1 for _, m in masses if m > 0.0)
     pa = pule_aonghusa_bound(masses, realization.box_length)
@@ -529,50 +530,55 @@ def _emit_text(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _config(args, scan: bool = False, **fixed) -> ExperimentConfig:
+    """The config of a subcommand: its config flags, then the keys it fixes.
+
+    Only `scan` and `bounds` run the schedule and checks, so only they pass
+    scan=True; the others get the per-key checks alone.
+    """
+    overrides = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
+    return load_config(getattr(args, "config", None), {**overrides, **fixed}, scan)
+
+
 def _cmd_sample(args) -> int:
-    seed = EnsembleSeed(args.base_seed, args.index)
-    r = sample_realization(args.intensity, args.box_length, seed)
+    config = _config(args)
+    seed = EnsembleSeed(config.base_seed, args.index)
+    r = sample_realization(config.intensity, args.box_length, seed)
     _emit_text(realization_to_text(r), args.output)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    seed = EnsembleSeed(args.base_seed, args.index)
-    r = sample_realization(args.intensity, args.box_length, seed)
     if args.cutoff is None and args.beta is None:
         raise ValueError("provide --cutoff or --beta (for the automatic cutoff)")
-    cutoff = args.cutoff if args.cutoff is not None else default_cutoff(r, args.beta)
+    config = _config(args)
+    seed = EnsembleSeed(config.base_seed, args.index)
+    r = sample_realization(config.intensity, args.box_length, seed)
+    cutoff = args.cutoff if args.cutoff is not None else default_cutoff(r, config.beta)
     _emit_text(spectrum_to_text(build_spectrum(r, cutoff)), args.output)
     return 0
 
 
 def _cmd_occupancy(args) -> int:
-    seed = EnsembleSeed(args.base_seed, args.index)
-    box_length = args.particles / args.density
-    r = sample_realization(args.intensity, box_length, seed)
-    spec = build_spectrum(r, default_cutoff(r, args.beta))
-    sol = condensate_profile(spec, args.beta, args.particles,
-                             min(args.top_k, len(spec)))
+    config = _config(args)
+    seed = EnsembleSeed(config.base_seed, args.index)
+    r = sample_realization(config.intensity, args.particles / config.density, seed)
+    spec = build_spectrum(r, default_cutoff(r, config.beta))
+    sol = condensate_profile(spec, config.beta, args.particles,
+                             min(config.top_k, len(spec)))
     _emit_text(thermo_solution_to_text(sol), args.output)
     return 0
 
 
-def _overrides(args) -> dict:
-    return {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
-
-
 def _cmd_bounds(args) -> int:
-    overrides = _overrides(args)
-    overrides["n_schedule"] = str(args.particles)
-    overrides["realizations_per_n"] = 1
-    config = load_config(args.config, overrides)
+    config = _config(args, scan=True, n_schedule=(args.particles,))
     rec = _evaluate_cell(config, args.particles, args.index)
     _emit_text(_cell_text(config.checks, rec), args.output)
     return 0
 
 
 def _cmd_scan(args) -> int:
-    config = load_config(args.config, _overrides(args))
+    config = _config(args, scan=True)
     report = run_ensemble(config)
     for path in emit_report(report, config.output_dir):
         print(path)
@@ -580,10 +586,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    laws = {key: _as_law(getattr(args, key)) for key in _LAW_KEYS
-            if getattr(args, key) is not None}
-    diag = scaling_diagnostics(replace(default_scaling_spec(), **laws),
-                               _as_int_list(args.n_grid))
+    diag = scaling_diagnostics(_config(args).scaling, _as_int_list(args.n_grid))
     names = list(diag.columns)
     lines = ["n," + ",".join(names)]
     for i, n in enumerate(diag.n_grid):
@@ -594,26 +597,20 @@ def _cmd_diag(args) -> int:
     return 0
 
 
-def _add_seed_flags(parser) -> None:
-    parser.add_argument("--base-seed", dest="base_seed", type=_as_int, default=1,
-                        help="ensemble base seed")
-    _add_index_flag(parser)
-
-
-def _add_index_flag(parser) -> None:
-    parser.add_argument("--index", type=_as_int, default=0,
-                        help="realization index within the ensemble (default 0)")
-
-
 # config keys that only a whole scan uses; `bounds` evaluates one realization
 _SCAN_ONLY_KEYS = ("n_schedule", "realizations_per_n", "output_dir", "workers")
 
 _FLAG_HELP = {
+    "density": "particle density; the box length is N/density",
     "n_schedule": "comma list of particle numbers, strictly increasing",
+    "base_seed": "ensemble base seed",
     "checks": "comma list from: " + ", ".join(KNOWN_CHECKS),
     "workers": "process count for the realization fan-out",
     "hardcore_radius": "hard-core radius sequence c*N^p*ln(N)^q",
 }
+
+
+_INDEX_HELP = "realization index within the ensemble (default 0)"
 
 
 def _add_config_flags(parser, keys) -> None:
@@ -632,33 +629,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw one disorder realization")
-    p.add_argument("--intensity", type=float, default=1.0)
+    _add_config_flags(p, ("intensity", "base_seed"))
     p.add_argument("--box-length", type=float, required=True)
-    _add_seed_flags(p)
+    p.add_argument("--index", type=_as_int, default=0, help=_INDEX_HELP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("spectrum", help="modes of one realization up to a cutoff")
-    p.add_argument("--intensity", type=float, default=1.0)
+    _add_config_flags(p, ("intensity", "beta", "base_seed"))
     p.add_argument("--box-length", type=float, required=True)
     p.add_argument("--cutoff", type=float, default=None,
                    help="energy cutoff; omit to derive it from --beta")
-    p.add_argument("--beta", type=float, default=None,
-                   help="inverse temperature for the automatic cutoff")
-    _add_seed_flags(p)
+    p.add_argument("--index", type=_as_int, default=0, help=_INDEX_HELP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser(
         "occupancy",
         help=f"exact canonical occupations (O(N^2), capped at N={THERMO_MAX_N})")
-    p.add_argument("--intensity", type=float, default=1.0)
-    p.add_argument("--density", type=float, default=1.0,
-                   help="particle density; the box length is N/density")
-    p.add_argument("--beta", type=float, default=1.0)
+    _add_config_flags(p, ("intensity", "density", "beta", "base_seed", "top_k"))
     p.add_argument("--particles", type=_as_int, required=True)
-    p.add_argument("--top-k", type=_as_int, default=8)
-    _add_seed_flags(p)
+    p.add_argument("--index", type=_as_int, default=0, help=_INDEX_HELP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_occupancy)
 
@@ -666,7 +657,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="flat key=value config file")
     _add_config_flags(p, [k for k in _CONFIG_FIELDS if k not in _SCAN_ONLY_KEYS])
     p.add_argument("--particles", type=_as_int, required=True)
-    _add_index_flag(p)
+    p.add_argument("--index", type=_as_int, default=0, help=_INDEX_HELP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_bounds)
 

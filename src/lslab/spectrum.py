@@ -134,7 +134,8 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
     starts = np.concatenate(([0], np.cumsum(n_max)[:-1]))
     mode_num = np.arange(total, dtype=np.int64) - np.repeat(starts, n_max) + 1
     energies = dirichlet_energy(mode_num, lengths[interval_idx])
-    order = np.lexsort((mode_num, interval_idx, energies))
+    # built in (interval, harmonic) order, so a stable sort keeps ties in that order
+    order = np.argsort(energies, kind="stable")
     return Spectrum(energies[order], interval_idx[order], mode_num[order],
                     lengths, float(energy_cutoff), realization.box_length)
 

@@ -16,11 +16,10 @@ from lslab.lab import (
     CHECKS,
     KNOWN_CHECKS,
     _build_parser,
-    _overrides,
+    _config,
     ConfigError,
     EnsembleReport,
     ExperimentConfig,
-    default_scaling_spec,
     emit_report,
     load_config,
     main,
@@ -61,7 +60,7 @@ def test_config_file_parsing(tmp_path):
     law = config.scaling.hardcore_radius
     assert (law.coefficient, law.exponent, law.log_exponent) == (2.0, -0.5, 1.0)
     # untouched laws keep their defaults
-    assert config.scaling.interaction_range == default_scaling_spec().interaction_range
+    assert config.scaling.interaction_range == ExperimentConfig().interaction_range
 
 
 def test_flag_overrides_beat_file(tmp_path):
@@ -100,6 +99,13 @@ def test_flag_overrides_beat_file(tmp_path):
     ({"density": "nan"}, "density must be positive and finite"),
     ({"beta": "nan"}, "beta must be positive and finite"),
     ({"beta": "inf"}, "beta must be positive and finite"),
+    # so do non-finite law parameters and check parameters
+    ({"interaction_floor": "nan,0"}, "bad value for interaction_floor: .*finite"),
+    ({"delta_width": "inf,0"}, "bad value for delta_width: .*finite"),
+    ({"hardcore_radius": "1,nan"}, "bad value for hardcore_radius: .*finite"),
+    ({"interaction_range": "1,-0.2,-inf"}, "bad value for interaction_range: .*finite"),
+    ({"interaction_l1_norm": "inf"}, "interaction_l1_norm must be nonnegative and finite"),
+    ({"lemma21_alpha": "inf"}, "lemma21_alpha must exceed 4 and be finite"),
 ])
 def test_config_rejections(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -130,6 +136,18 @@ _KEY_SAMPLES = {
 }
 _SCAN_ONLY = {"n_schedule", "realizations_per_n", "output_dir", "workers"}
 
+# each subcommand's required arguments, and the config keys it takes as flags
+_COMMANDS = {
+    "scan": ([], set(_KEY_SAMPLES)),
+    "bounds": (["--particles", "100"], set(_KEY_SAMPLES) - _SCAN_ONLY),
+    "sample": (["--box-length", "10"], {"intensity", "base_seed"}),
+    "spectrum": (["--box-length", "10"], {"intensity", "beta", "base_seed"}),
+    "occupancy": (["--particles", "100"],
+                  {"intensity", "density", "beta", "base_seed", "top_k"}),
+    "diag": (["--n-grid", "1e2,1e4"],
+             {"hardcore_radius", "interaction_range", "interaction_floor", "delta_width"}),
+}
+
 
 @pytest.mark.parametrize("key", list(_CONFIG_FIELDS))
 def test_flag_and_config_line_agree(key, tmp_path, capsys):
@@ -140,15 +158,21 @@ def test_flag_and_config_line_agree(key, tmp_path, capsys):
     from_file = load_config(path)
     assert from_file != ExperimentConfig()
     parser = _build_parser()
-    args = parser.parse_args(["scan", flag, value])
-    assert load_config(None, _overrides(args)) == from_file
-    bounds_argv = ["bounds", "--particles", "100", flag, value]
-    if key in _SCAN_ONLY:
-        with pytest.raises(SystemExit):
-            parser.parse_args(bounds_argv)
-    else:
-        args = parser.parse_args(bounds_argv)
-        assert load_config(None, _overrides(args)) == from_file
+    for command, (required, keys) in _COMMANDS.items():
+        argv = [command, *required, flag, value]
+        if key not in keys:
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+            continue
+        assert _config(parser.parse_args(argv)) == from_file
+
+
+def test_default_seed_is_the_config_default(capsys):
+    assert main(["sample", "--box-length", "10"]) == 0
+    assert f"base_seed = {ExperimentConfig().base_seed}\n" in capsys.readouterr().out
+    assert main(["bounds", "--particles", "100"]) == 0
+    assert f"lemma21.in.base_seed = {ExperimentConfig().base_seed}\n" \
+        in capsys.readouterr().out
 
 
 def test_run_ensemble_is_replayable():
@@ -395,6 +419,8 @@ def test_cli_error_paths_return_2(tmp_path, capsys, monkeypatch):
     # a NaN input is refused by name, not by a numpy message
     assert main(["sample", "--intensity", "nan", "--box-length", "10"]) == 2
     assert capsys.readouterr().err == "error: intensity must be positive and finite\n"
+    assert main(["diag", "--n-grid", "1e2,1e4", "--delta-width", "inf,0"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad value for delta_width: ")
     # oversized inputs are refused with an error line, not by running out of memory
     monkeypatch.setattr(lslab.disorder, "MAX_POINTS", 1000)
     monkeypatch.setattr(lslab.spectrum, "MAX_MODES", 1000)
@@ -403,6 +429,20 @@ def test_cli_error_paths_return_2(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2
     assert all(line.startswith("error:") and "ceiling" in line for line in err)
+
+
+def test_one_realization_commands_skip_the_scan_checks(tmp_path, capsys):
+    # the point budget of the default schedule (N = 1000) and the n_schedule
+    # rules belong to a scan; sample and spectrum draw their own box, and
+    # occupancy its own N
+    assert main(["sample", "--intensity", "2e5", "--box-length", "1",
+                 "-o", str(tmp_path / "sample.txt")]) == 0
+    assert main(["spectrum", "--intensity", "2e5", "--box-length", "1",
+                 "--cutoff", "1e12", "-o", str(tmp_path / "spectrum.txt")]) == 0
+    assert main(["occupancy", "--particles", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "particle_number = 1\n" in captured.out
 
 
 def test_scan_over_point_ceiling_runs_no_cell(monkeypatch, tmp_path, capsys):
@@ -493,12 +533,17 @@ def test_scan_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-# A scan with every check in a fresh interpreter, then the box masses of a
-# ground mode.
+# A scan with every check in a fresh interpreter, first as run_ensemble and
+# then through the CLI, then the box masses of a ground mode.  The cells load
+# no numpy.ma either; the report's nanmedian may.
 _SCAN_WITHOUT_SCIPY = """
 import sys
 import lslab
 from lslab.lab import KNOWN_CHECKS, main
+config = lslab.load_config(None, {"n_schedule": "100,200", "realizations_per_n": "2",
+                                  "checks": ",".join(KNOWN_CHECKS)})
+lslab.run_ensemble(config)
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported by a cell"
 assert main(["scan", "--n-schedule", "100,200", "--realizations-per-n", "2",
              "--checks", ",".join(KNOWN_CHECKS), "--output-dir", sys.argv[1]]) == 0
 assert len(KNOWN_CHECKS) == 6
