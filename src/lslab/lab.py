@@ -424,11 +424,47 @@ def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> Ensemb
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float, float, float]:
-    if np.all(np.isnan(values)):
-        nan = float("nan")
-        return nan, nan, nan, nan
-    return (float(np.nanmean(values)), float(np.nanmedian(values)),
-            float(np.nanquantile(values, 0.05)), float(np.nanquantile(values, 0.95)))
+    """NaN-skipping mean, median, 5% and 95% quantile.
+
+    The median and the quantiles are np.nanmedian's and np.nanquantile's
+    (method "linear") to the bit, signed zeros included: the same NaN
+    removal, the same partitions, the same arithmetic.  They are written out
+    because those two functions import numpy.ma on first use.
+    """
+    nan = np.isnan(values)
+    gaps = np.flatnonzero(nan)
+    kept = values
+    if gaps.size:
+        # numpy's order: NaN slots are filled from the end, the end dropped
+        kept = values.copy()
+        tail = kept[-gaps.size:][~nan[-gaps.size:]]
+        kept[gaps[:tail.size]] = tail
+        kept = kept[:-gaps.size]
+    if kept.size == 0:
+        return math.nan, math.nan, math.nan, math.nan
+    half = kept.size // 2
+    middle = [half - 1, half] if kept.size % 2 == 0 else [half]
+    median = np.mean(np.partition(kept, middle + [-1])[middle[0]:half + 1])
+    return (float(np.nanmean(values)), float(median),
+            _quantile(kept, 0.05), _quantile(kept, 0.95))
+
+
+def _quantile(kept: np.ndarray, q: float) -> float:
+    """np.quantile(kept, q), method "linear", for NaN-free kept."""
+    index = (kept.size - 1) * q
+    below = math.floor(index)
+    if index >= kept.size - 1:
+        # numpy reads the last value on both sides, at weight index + 1
+        below = above = -1
+    else:
+        above = below + 1
+    part = np.partition(kept, sorted({0, -1, below, above}))
+    low, high = part[below], part[above]
+    weight = index - below
+    diff = high - low
+    if weight >= 0.5:
+        return float(high - diff * (1 - weight))
+    return float(low + diff * weight)
 
 
 def _summary_table(report: EnsembleReport) -> tuple[list[str], list[list]]:

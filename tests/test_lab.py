@@ -15,6 +15,7 @@ from lslab.lab import (
     _CONFIG_FIELDS,
     CHECKS,
     KNOWN_CHECKS,
+    _aggregate,
     _build_parser,
     _config,
     ConfigError,
@@ -261,6 +262,34 @@ def test_emit_report_summary_shape(tmp_path):
     pass_lines = paths["pass_fractions.csv"].read_text().strip().split("\n")
     assert pass_lines[0] == "n,check,pass_fraction,ensemble_size"
     assert len(pass_lines) == 1 + 3 * 2
+
+
+def test_aggregate_matches_numpy_nan_statistics_bit_for_bit():
+    # 2400 arrays of 1..60 values: spread floats, tied integers, signed zeros
+    # and heavy ties, each with up to half of its entries NaN
+    rng = np.random.default_rng(20261019)
+    pools = [
+        lambda n: rng.normal(size=n) * 10.0 ** rng.integers(-3, 6),
+        lambda n: rng.integers(-3, 4, size=n).astype(float),
+        lambda n: rng.choice([-0.0, 0.0, 1.0, -1.0, 2.5], size=n),
+        lambda n: rng.exponential(size=n),
+    ]
+    compared = 0
+    for i in range(2400):
+        n = int(rng.integers(1, 61))
+        values = pools[i % len(pools)](n)
+        values[rng.random(n) < rng.random() * 0.5] = np.nan
+        if np.all(np.isnan(values)):
+            assert all(math.isnan(v) for v in _aggregate(values))
+            continue
+        before = values.tobytes()
+        got = _aggregate(values)
+        assert values.tobytes() == before
+        want = (np.nanmean(values), np.nanmedian(values),
+                np.nanquantile(values, 0.05), np.nanquantile(values, 0.95))
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want], values
+        compared += 1
+    assert compared > 2000
 
 
 def test_emit_report_rejects_empty_and_unknown_format(tmp_path):
@@ -534,8 +563,8 @@ def test_scan_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 
 # A scan with every check in a fresh interpreter, first as run_ensemble and
-# then through the CLI, then the box masses of a ground mode.  The cells load
-# no numpy.ma either; the report's nanmedian may.
+# then through the CLI, then the box masses of a ground mode.  Neither the
+# cells nor the report load numpy.ma.
 _SCAN_WITHOUT_SCIPY = """
 import sys
 import lslab
@@ -546,6 +575,7 @@ lslab.run_ensemble(config)
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported by a cell"
 assert main(["scan", "--n-schedule", "100,200", "--realizations-per-n", "2",
              "--checks", ",".join(KNOWN_CHECKS), "--output-dir", sys.argv[1]]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported by the report"
 assert len(KNOWN_CHECKS) == 6
 r = lslab.sample_realization(1.0, 100.0, lslab.EnsembleSeed(1, 0))
 masses = lslab.box_masses(lslab.ground_mode(r), 0.5)

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lslab.thermo
@@ -100,6 +100,36 @@ def log_sum_exp_partitions(sums):
     return log_z
 
 
+def full_recursion_partitions(sums):
+    """Reference oracle: ln Z_0..ln Z_N by the rescaled linear recursion on all S_k.
+
+    This is the solve without the condensate split: every step is a sum of
+    products over the whole spectrum's S_k, and the recursion runs to N.
+    """
+    n_max = len(sums)
+    log_z = np.zeros(n_max + 1)
+    buf = np.zeros(n_max + 1)
+    buf[n_max] = 1.0
+    shift = 0.0
+    for n in range(1, n_max + 1):
+        value = float(np.einsum("i,i->", sums[:n], buf[n_max - n + 1:])) / n
+        buf[n_max - n] = value
+        log_z[n] = shift + math.log(value)
+        if value > 1e200:
+            live = buf[n_max - n:]
+            live /= value
+            live[live < 1e-280] = 0.0
+            shift = log_z[n]
+    return log_z
+
+
+def assert_matches_full_recursion(spec, beta, n):
+    log_z = canonical_partition(spec, beta, n)
+    oracle = full_recursion_partitions(boltzmann_sums(spec, beta, n))
+    rel = np.abs(log_z - oracle) / np.maximum(1.0, np.abs(oracle))
+    assert rel.max() <= 1e-12
+
+
 def test_recursion_agrees_with_log_sum_exp_oracle():
     n = 5000
     r = sample_realization(1.0, n / 0.6, EnsembleSeed(21, 0))
@@ -119,6 +149,59 @@ def test_partition_degenerate_levels_closed_form_across_rescaling():
                        for k in range(n_max + 1)])
     assert closed[-1] > 1900.0
     np.testing.assert_allclose(log_z, closed, rtol=1e-12, atol=1e-12)
+
+
+def test_near_degenerate_ground_pair_is_peeled_exactly_and_stops_early():
+    # a level 1e-4 above the ground level: without peeling it, the excited
+    # ratios tend to exp(-1e-4) and the recursion runs to N
+    n, beta = 5000, 1.0
+    sampled = sampled_spectrum(box_length=n / 0.6, seed=EnsembleSeed(23, 0))
+    e = sampled.energies
+    spec = toy_spectrum(np.insert(e, 1, e[0] + 1e-4), box_length=sampled.box_length)
+    delta = spec.energies - spec.energies[0]
+    g = lslab.thermo._peel_count(delta, beta, n)
+    assert g >= 2
+    stop = lslab.thermo._solve(spec, beta, n)[4]
+    assert stop < 0.75 * n
+    unpeeled = lslab.thermo._power_sums(delta, beta, n, (1,))[0]
+    assert lslab.thermo._log_partitions(unpeeled, np.array([]), n)[1] == n
+    assert_matches_full_recursion(spec, beta, n)
+
+
+def test_split_stops_early_on_a_sampled_spectrum():
+    n = 4000
+    spec = sampled_spectrum(box_length=n / 0.6, seed=EnsembleSeed(23, 1))
+    assert lslab.thermo._solve(spec, 1.0, n)[4] < 0.75 * n
+    assert_matches_full_recursion(spec, 1.0, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    energies=st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=12),
+    multiplicity=st.integers(min_value=1, max_value=60),
+    beta=st.floats(min_value=0.05, max_value=20.0),
+    n=st.integers(min_value=1, max_value=1200),
+)
+@example(energies=[0.0, 1e-4, 0.5], multiplicity=1, beta=1.0, n=1200)
+@example(energies=[0.0, 0.0, 3.0], multiplicity=1, beta=0.3, n=500)
+@example(energies=[0.0, 1e-3, 1e-3, 2e-3, 4.0], multiplicity=1, beta=2.0, n=1000)
+def test_property_split_equals_full_recursion_on_toy_spectra(energies, multiplicity,
+                                                             beta, n):
+    assert_matches_full_recursion(toy_spectrum(energies * multiplicity), beta, n)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=1000),
+    box_length=st.floats(min_value=50.0, max_value=3000.0),
+    beta=st.floats(min_value=0.3, max_value=3.0),
+    n=st.integers(min_value=1, max_value=1800),
+)
+@example(index=0, box_length=3000.0, beta=0.3, n=1800)
+def test_property_split_equals_full_recursion_on_sampled_spectra(index, box_length,
+                                                                 beta, n):
+    spec = sampled_spectrum(box_length=box_length, beta=beta, seed=EnsembleSeed(24, index))
+    assert_matches_full_recursion(spec, beta, n)
 
 
 def _assert_increments_log_concave(log_z, s1):
@@ -268,9 +351,25 @@ def test_profile_total_is_conserved():
 def test_profile_refuses_a_nan_occupation_total(monkeypatch):
     # a NaN total must fail the drift check, not slip past a `>` comparison
     monkeypatch.setattr(lslab.thermo, "_log_partitions",
-                        lambda sums: np.full(len(sums) + 1, np.nan))
+                        lambda sums, peeled, n_max: (np.full(n_max + 1, np.nan), n_max))
     with pytest.raises(RuntimeError, match="drifted to nan"):
         condensate_profile(toy_spectrum([0.0, 0.5, 1.0]), 1.0, 3, top_k=2)
+
+
+@pytest.mark.parametrize("n", [2000, 20_000])
+def test_profile_catches_a_defect_in_the_excited_sums(monkeypatch, n):
+    # the recursion reads S^ex and the occupation total reads the full S_k,
+    # so a 1e-6 error in S^ex_1 moves the total by about 1e-7 N
+    solve = lslab.thermo._log_partitions
+
+    def planted(excited_sums, peeled, n_max):
+        return solve(excited_sums * np.r_[1.0 + 1e-6, np.ones(n_max - 1)], peeled, n_max)
+
+    spec = sampled_spectrum(box_length=n / 0.6, seed=EnsembleSeed(25, 0))
+    condensate_profile(spec, 1.0, n, top_k=2)
+    monkeypatch.setattr(lslab.thermo, "_log_partitions", planted)
+    with pytest.raises(RuntimeError, match="drifted"):
+        condensate_profile(spec, 1.0, n, top_k=2)
 
 
 def test_profile_one_particle_is_gibbs_weight():
