@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disorder import DisorderRealization, count_intervals_at_least
+from .disorder import DisorderRealization, count_intervals_at_least, longest_interval
 from .spectrum import EigenMode
 
 __all__ = [
@@ -78,7 +78,7 @@ def check_lemma21(realization: DisorderRealization, epsilon: float = 0.5,
     log_l = math.log(big_l)
     lower = (log_l - (1.0 + epsilon) * math.log(log_l)) / nu
     upper = alpha * log_l / nu
-    l_max = float(realization.interval_lengths.max())
+    l_max, _ = longest_interval(realization)
     return Lemma21Result(l_max >= lower, l_max <= upper, l_max, lower, upper)
 
 

@@ -13,6 +13,7 @@ produced in any order, in parallel, and replayed individually.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,8 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
-# ceiling on the mean point count intensity*box_length; sampling peaks at
-# about 25 bytes per point, so this is under 3 GB
+# ceiling on the mean point count intensity*box_length; sampling and the
+# checks peak at about 17 bytes per point, so this is under 2 GB
 MAX_POINTS = 10**8
 
 
@@ -78,7 +79,7 @@ class DisorderRealization:
     The sorted points are the whole realization: interval j runs from
     -L/2 (j = 0) or points[j-1] over interval_lengths[j], so there are
     n_points + 1 intervals.  interval_lengths is derived from the points
-    once, at construction.
+    once, at construction; the statistics read from it are memoised in _memo.
     """
 
     intensity: float
@@ -86,6 +87,7 @@ class DisorderRealization:
     points: np.ndarray
     seed_info: EnsembleSeed
     interval_lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if not (0 < self.intensity < np.inf and 0 < self.box_length < np.inf):
@@ -93,10 +95,13 @@ class DisorderRealization:
         if self.points.ndim != 1:
             raise ValueError("points must be a 1-d array")
         half = self.box_length / 2.0
-        lengths = np.diff(np.concatenate(([-half], self.points, [half])))
-        # all lengths are > 0 exactly when the points are strictly increasing,
-        # inside the open box and not NaN
-        if not np.all(lengths > 0):
+        pts = self.points
+        # np.diff's values over [-half, *points, half], without the padded copy
+        lengths = np.empty(pts.size + 1)
+        np.subtract(pts[1:], pts[:-1], out=lengths[1:-1])
+        lengths[[0, -1]] = (pts[0] + half, half - pts[-1]) if pts.size else half + half
+        # min() > 0 exactly when the points increase strictly inside the box; NaN fails
+        if not lengths.min() > 0:
             raise ValueError("points must be strictly increasing inside the open box")
         # realizations are immutable once built; shared freely across workers
         self.points.setflags(write=False)
@@ -125,9 +130,9 @@ def sample_realization(intensity: float, box_length: float,
     """Draw one realization at the given intensity on a box of this length.
 
     Count first (Poisson with mean intensity*box_length), then that many
-    sorted uniforms.  Coincident points are merged and points falling on a
-    box edge are discarded, so every interval has positive length.  A mean
-    count above MAX_POINTS is refused before anything is drawn.
+    sorted uniforms.  Only if a draw repeats or lands on a box edge are the
+    repeats merged and the edge points dropped, so every interval has positive
+    length.  A mean count above MAX_POINTS is refused before anything is drawn.
     """
     if not 0 < intensity < np.inf:
         raise ValueError("intensity must be positive and finite")
@@ -139,26 +144,32 @@ def sample_realization(intensity: float, box_length: float,
     half = box_length / 2.0
     pts = rng.uniform(-half, half, size=count)
     pts.sort()
-    # sorted, a repeat follows its first copy: keep first copies inside the open box
-    keep = (pts > -half) & (pts < half)
-    keep[1:] &= pts[1:] != pts[:-1]
-    pts = pts[keep]
-    del keep  # one byte per point, freed before the interval lengths are built
+    with suppress(ValueError):  # refused only for a repeated draw or one on an edge
+        return DisorderRealization(float(intensity), float(box_length), pts, seed)
+    # sorted: edge draws sit at the ends and a repeat follows its first copy
+    pts = pts[np.searchsorted(pts, -half, "right"):np.searchsorted(pts, half)]
+    keep = np.ones(pts.size, dtype=bool)  # one mask, so the peak stays at 17 B/point
+    np.not_equal(pts[1:], pts[:-1], out=keep[1:])
+    pts = pts[keep]  # frees the unmerged draws before the lengths are built
     return DisorderRealization(float(intensity), float(box_length), pts, seed)
 
 
 def longest_interval(realization: DisorderRealization) -> tuple[float, int]:
     """Maximum interval length and the first index attaining it."""
-    lengths = realization.interval_lengths
-    idx = int(np.argmax(lengths))
-    return float(lengths[idx]), idx
+    if "longest" not in (memo := realization._memo):
+        lengths = realization.interval_lengths
+        # max, then the first equal entry: np.argmax on a read-only array is slower
+        memo["longest"] = float(l_max := lengths.max()), int((lengths == l_max).argmax())
+    return memo["longest"]
 
 
 def count_intervals_at_least(realization: DisorderRealization, threshold: float) -> int:
     """Number of intervals with length >= threshold."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    return int(np.count_nonzero(realization.interval_lengths >= threshold))
+    if threshold not in (memo := realization._memo):
+        memo[threshold] = int(np.count_nonzero(realization.interval_lengths >= threshold))
+    return memo[threshold]
 
 
 def realization_to_text(realization: DisorderRealization) -> str:

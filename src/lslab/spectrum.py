@@ -142,8 +142,7 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
 
 def ground_state_energy(realization: DisorderRealization) -> float:
     """pi^2 / l_max^2: the first harmonic of the longest interval."""
-    l_max, _ = longest_interval(realization)
-    return float(dirichlet_energy(1, l_max))
+    return ground_mode(realization).energy
 
 
 def ground_mode(realization: DisorderRealization) -> EigenMode:

@@ -160,6 +160,28 @@ def test_pule_aonghusa_count_bound_on_ground_modes():
             assert val <= cap + 1e-12
 
 
+@pytest.mark.parametrize("L", [1e3, 1e4, 1e5])
+def test_hardcore_bound_sandwich_on_ground_modes(L):
+    # (8/pi^2) l_max/a <= pa*L <= S for the ground mode on S support boxes.
+    # Lower half: Cauchy-Schwarz in each box, int_box sqrt(f) <= sqrt(a m_n),
+    # and int sqrt(f) = sqrt(8 l)/pi over the interval.  Upper half:
+    # Cauchy-Schwarz over the boxes.  Both are close to equality (a << l_max,
+    # a >> l_max), so a box_masses that misplaces mass breaks one of them.
+    ratios = []
+    for i in range(30):
+        r = sample_realization(1.0, L, EnsembleSeed(2718, i))
+        gm = ground_mode(r)
+        for a in (0.05, 0.5, 2.0, 20.0):
+            masses = box_masses(gm, a)
+            support = sum(1 for _, m in masses if m > 0.0)
+            pa_l = pule_aonghusa_bound(masses, L) * L
+            lower = 8.0 / math.pi ** 2 * gm.interval_length / a
+            assert lower <= pa_l <= support * (1.0 + 1e-12), (i, a)
+            ratios.append(pa_l / lower)
+    # the a = 0.05 cases sit within 1e-3 of the lower bound
+    assert min(ratios) < 1.001
+
+
 # ---------------------------------------------------------------------------
 # deterministic envelopes
 
