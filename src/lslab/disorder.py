@@ -13,6 +13,7 @@ produced in any order, in parallel, and replayed individually.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -35,7 +36,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 # ceiling on the mean point count intensity*box_length; sampling and the
-# checks peak at about 17 bytes per point, so this is under 2 GB
+# checks peak at about 8 bytes per point (the points alone), so this is under
+# 1 GB; a spectrum adds 8 more per point for the interval lengths it reads
 MAX_POINTS = 10**8
 
 
@@ -76,17 +78,17 @@ class EnsembleSeed:
 class DisorderRealization:
     """One point configuration on the open box (-L/2, +L/2).
 
-    The sorted points are the whole realization: interval j runs from
-    -L/2 (j = 0) or points[j-1] over interval_lengths[j], so there are
-    n_points + 1 intervals.  interval_lengths is derived from the points
-    once, at construction; the statistics read from it are memoised in _memo.
+    The sorted points are the whole realization: interval j runs from -L/2
+    (j = 0) or points[j-1] to points[j] or +L/2 (j = n_points), so there are
+    n_points + 1 intervals.  Their lengths are not stored: each statistic
+    streams them from the points in cache-sized blocks and is memoised in
+    _memo, as is the interval_lengths array once something asks for it.
     """
 
     intensity: float
     box_length: float
     points: np.ndarray
     seed_info: EnsembleSeed
-    interval_lengths: np.ndarray = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -94,19 +96,12 @@ class DisorderRealization:
             raise ValueError("intensity and box_length must be positive and finite")
         if self.points.ndim != 1:
             raise ValueError("points must be a 1-d array")
-        half = self.box_length / 2.0
-        pts = self.points
-        # np.diff's values over [-half, *points, half], without the padded copy
-        lengths = np.empty(pts.size + 1)
-        np.subtract(pts[1:], pts[:-1], out=lengths[1:-1])
-        lengths[[0, -1]] = (pts[0] + half, half - pts[-1]) if pts.size else half + half
-        # min() > 0 exactly when the points increase strictly inside the box; NaN fails
-        if not lengths.min() > 0:
-            raise ValueError("points must be strictly increasing inside the open box")
+        for _, block in _length_blocks(self):
+            # min() > 0 exactly when the points increase strictly inside the box; NaN fails
+            if not block.min() > 0:
+                raise ValueError("points must be strictly increasing inside the open box")
         # realizations are immutable once built; shared freely across workers
         self.points.setflags(write=False)
-        lengths.setflags(write=False)
-        object.__setattr__(self, "interval_lengths", lengths)
 
     @property
     def n_points(self) -> int:
@@ -114,7 +109,48 @@ class DisorderRealization:
 
     @property
     def n_intervals(self) -> int:
-        return int(self.interval_lengths.size)
+        return self.n_points + 1
+
+    @property
+    def interval_lengths(self) -> np.ndarray:
+        """All n_points + 1 interval lengths, read-only, built on first access."""
+        if "lengths" not in (memo := self._memo):
+            lengths = np.empty(self.n_intervals)
+            for start, block in _length_blocks(self):
+                lengths[start:start + block.size] = block
+            lengths.setflags(write=False)
+            memo["lengths"] = lengths
+        return memo["lengths"]
+
+
+# 2^16 lengths (512 KB) per block stay in cache from the subtraction that
+# writes them to the reduction that reads them
+_BLOCK = 1 << 16
+
+
+def _length_blocks(realization: DisorderRealization) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first interval index, lengths) block by block.
+
+    The values are np.diff over [-half, *points, half], written piecewise
+    into one scratch buffer that every block reuses, so a block must be read
+    before the next one is asked for.
+    """
+    pts, half = realization.points, realization.box_length / 2.0
+    n = pts.size
+    if not n:
+        yield 0, np.array([half + half])
+        return
+    buf = np.empty(min(n + 1, _BLOCK))
+    for start in range(0, n + 1, _BLOCK):
+        stop = min(start + _BLOCK, n + 1)
+        block = buf[:stop - start]
+        lo, hi = max(start, 1), min(stop, n)  # the interior lengths pts[i] - pts[i-1]
+        np.subtract(pts[lo:hi], pts[lo - 1:hi - 1], out=block[lo - start:hi - start])
+        if start == 0:
+            block[0] = pts[0] + half
+        if stop == n + 1:
+            block[-1] = half - pts[-1]
+        yield start, block
 
 
 def check_point_budget(intensity: float, box_length: float) -> None:
@@ -147,19 +183,33 @@ def sample_realization(intensity: float, box_length: float,
     with suppress(ValueError):  # refused only for a repeated draw or one on an edge
         return DisorderRealization(float(intensity), float(box_length), pts, seed)
     # sorted: edge draws sit at the ends and a repeat follows its first copy
-    pts = pts[np.searchsorted(pts, -half, "right"):np.searchsorted(pts, half)]
-    keep = np.ones(pts.size, dtype=bool)  # one mask, so the peak stays at 17 B/point
-    np.not_equal(pts[1:], pts[:-1], out=keep[1:])
-    pts = pts[keep]  # frees the unmerged draws before the lengths are built
-    return DisorderRealization(float(intensity), float(box_length), pts, seed)
+    inside = pts[np.searchsorted(pts, -half, "right"):np.searchsorted(pts, half)]
+    # first copies move to the front of pts block by block, so the merge
+    # allocates no second array and the peak stays at 8 B/point
+    keep = np.empty(min(inside.size, _BLOCK), dtype=bool)
+    kept = 0
+    for start in range(0, inside.size, _BLOCK):
+        block = inside[start:start + _BLOCK]
+        first = keep[:block.size]
+        np.not_equal(block[1:], block[:-1], out=first[1:])
+        # inside[start - 1] still holds its draw: the writes so far stop short of
+        # it, or reach it only when nothing before it was dropped
+        first[0] = start == 0 or block[0] != inside[start - 1]
+        moved = block[first]
+        pts[kept:kept + moved.size] = moved
+        kept += moved.size
+    return DisorderRealization(float(intensity), float(box_length), pts[:kept], seed)
 
 
 def longest_interval(realization: DisorderRealization) -> tuple[float, int]:
     """Maximum interval length and the first index attaining it."""
     if "longest" not in (memo := realization._memo):
-        lengths = realization.interval_lengths
-        # max, then the first equal entry: np.argmax on a read-only array is slower
-        memo["longest"] = float(l_max := lengths.max()), int((lengths == l_max).argmax())
+        best, index = -np.inf, 0
+        for start, block in _length_blocks(realization):
+            # only a strictly longer block maximum replaces the best, so the first index wins
+            if (top := block.max()) > best:
+                best, index = top, start + int((block == top).argmax())
+        memo["longest"] = float(best), index
     return memo["longest"]
 
 
@@ -168,7 +218,8 @@ def count_intervals_at_least(realization: DisorderRealization, threshold: float)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if threshold not in (memo := realization._memo):
-        memo[threshold] = int(np.count_nonzero(realization.interval_lengths >= threshold))
+        memo[threshold] = sum(int(np.count_nonzero(block >= threshold))
+                              for _, block in _length_blocks(realization))
     return memo[threshold]
 
 

@@ -23,6 +23,8 @@ from lslab.spectrum import build_spectrum, default_cutoff, ground_mode
 
 from conftest import make_realization
 
+_BLOCK = lslab.disorder._BLOCK
+
 
 def test_stream_seed_is_pure_function_of_labels():
     a = EnsembleSeed(base_seed=5, realization_index=7)
@@ -87,8 +89,7 @@ def test_sampled_bytes_are_pinned(box_length, base_seed, index, n_points, digest
 
 
 def test_repeated_and_edge_draws_are_merged(monkeypatch):
-    # a repeated draw and draws exactly on both box edges (half = 5)
-    draws = [1.0, -5.0, 3.0, 1.0, -2.0, 5.0, 3.0, 4.5]
+    draws = []
 
     class Stub:
         def poisson(self, lam):
@@ -100,10 +101,22 @@ def test_repeated_and_edge_draws_are_merged(monkeypatch):
             return np.array(draws)
 
     monkeypatch.setattr(EnsembleSeed, "generator", lambda self: Stub())
+    # a repeated draw and draws exactly on both box edges (half = 5)
+    draws[:] = [1.0, -5.0, 3.0, 1.0, -2.0, 5.0, 3.0, 4.5]
     r = sample_realization(1.0, 10.0, EnsembleSeed(0, 0))
     np.testing.assert_array_equal(r.points, [-2.0, 1.0, 3.0, 4.5])
     np.testing.assert_array_equal(r.interval_lengths, [3.0, 3.0, 2.0, 1.5, 0.5])
     assert r.interval_lengths.sum() == 10.0
+
+    # once the edge draws are cut off, draw _BLOCK repeats draw _BLOCK - 1,
+    # so the repeat straddles the merge's first block seam; the last draw
+    # comes three times
+    first = np.linspace(-4.9, 4.9, _BLOCK + 2)
+    draws[:] = [5.0, *first[::-1], first[_BLOCK - 1], -5.0, first[-1], -5.0, first[-1]]
+    r = sample_realization(1.0, 10.0, EnsembleSeed(0, 0))
+    assert r.points.tobytes() == first.tobytes()
+    assert r.interval_lengths.tobytes() == np.diff(np.concatenate(([-5.0], first, [5.0]))).tobytes()
+    assert abs(r.interval_lengths.sum() - 10.0) <= 1e-12
 
 
 def test_longest_interval_follows_the_gumbel_law():
@@ -245,6 +258,61 @@ def test_intervals_are_derived_from_the_points(make):
     assert spec.interval_lengths.tobytes() == lengths.tobytes()
     mode = ground_mode(r)
     assert mode.interval_left == lefts[mode.interval_index]
+
+
+def _from_lengths(lengths):
+    # integer interior lengths and half-unit edge pieces: every point and
+    # every difference is exact, so the lengths come back as given
+    lengths = np.asarray(lengths, dtype=float)
+    half = lengths.sum() / 2.0
+    return make_realization(-half + np.cumsum(lengths[:-1]), 2.0 * half)
+
+
+def _seam_lengths(n_points, longest_at):
+    lengths = np.random.default_rng(n_points).integers(1, 1000, n_points + 1).astype(float)
+    lengths[[0, -1]] = 0.5
+    lengths[list(longest_at)] = 5000.0
+    return lengths
+
+
+def _seam_cases():
+    # the longest interval at both edge pieces, next to them and on each
+    # side of the first seam (interval _BLOCK opens the second block)
+    for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1):
+        for at in sorted({0, 1, _BLOCK - 1, _BLOCK, n - 1, n} - {n + 1}):
+            yield pytest.param(n, (at,), id=f"n=B{n - _BLOCK:+d}-longest@{at}")
+    # ties across a seam and across the whole array: the first index wins
+    yield pytest.param(_BLOCK + 1, (_BLOCK - 1, _BLOCK), id="tie-across-seam")
+    yield pytest.param(_BLOCK + 1, (3, _BLOCK + 1), id="tie-first-and-last-block")
+
+
+@pytest.mark.parametrize("n_points, longest_at", _seam_cases())
+def test_blocked_statistics_match_the_whole_array(n_points, longest_at):
+    expected = _seam_lengths(n_points, longest_at)
+    r = _from_lengths(expected)
+    half = r.box_length / 2.0
+    ref = np.diff(np.concatenate(([-half], r.points, [half])))
+    assert ref.tobytes() == expected.tobytes()
+    assert longest_interval(r) == (float(ref.max()), int(np.argmax(ref)))
+    assert longest_interval(r)[1] == longest_at[0]
+    for threshold in (0.5, 3.0, 500.0, 5000.0):
+        assert count_intervals_at_least(r, threshold) == np.count_nonzero(ref >= threshold)
+    lengths = r.interval_lengths
+    assert lengths.tobytes() == ref.tobytes()
+    assert lengths.flags.c_contiguous and not lengths.flags.writeable
+    assert r.interval_lengths is lengths
+    assert r.n_intervals == ref.size
+
+
+@pytest.mark.parametrize("at", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("fault", ["repeat", "swap"])
+def test_non_increasing_pair_at_a_seam_is_refused(at, fault):
+    # interval `at` is pts[at] - pts[at - 1]; interval _BLOCK opens the second block
+    r = _from_lengths(_seam_lengths(_BLOCK + 3, ()))
+    pts = r.points.copy()
+    pts[at] = pts[at - 1] if fault == "repeat" else pts[at - 1] - 0.25
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DisorderRealization(1.0, r.box_length, pts, EnsembleSeed(0, 0))
 
 
 @pytest.mark.parametrize("pts", [
