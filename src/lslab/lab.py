@@ -9,15 +9,13 @@ byte-identical across repeated runs of the same configuration.
 
 from __future__ import annotations
 
-import argparse
 import math
 import operator
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -30,6 +28,9 @@ from .disorder import EnsembleSeed, check_point_budget, realization_to_text, sam
 from .spectrum import (build_spectrum, default_cutoff, ground_mode,
                        spectrum_to_text)
 from .thermo import (THERMO_MAX_N, condensate_profile, thermo_solution_to_text)
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = [
     "ConfigError",
@@ -406,6 +407,9 @@ def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> Ensemb
     cells = [(n, idx) for n in config.n_schedule
              for idx in range(config.realizations_per_n)]
     if n_workers > 1:
+        # imported here: it loads multiprocessing, socket, subprocess and
+        # logging, which a serial scan never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = {cell: pool.submit(_evaluate_cell, config, *cell)
                        for cell in cells}
@@ -658,6 +662,8 @@ def _add_config_flags(parser, keys) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # imported here, so that `import lslab` does not load it
+    import argparse
     parser = argparse.ArgumentParser(
         prog="lslab",
         description="Point-disorder Bose gas laboratory: sampling, spectra, "

@@ -13,8 +13,10 @@ al., PRL 79, 1789 (1997), applied to g levels):
     Z(t) = prod_{j<g} (1 - x_j t)^-1 * Z^ex(t),   n Z^ex_n = sum_k S^ex_k Z^ex_{n-k}
 
 with S^ex_k summed over the levels from g up.  Z^ex comes from the power-sum
-recursion in the linear domain, one sum of products per step, on a buffer
-that is rescaled whenever Z passes 1e200; only ln Z leaves it.  Each peeled
+recursion in the linear domain, on a buffer that is rescaled whenever Z
+passes 1e200; only ln Z leaves it.  The steps run in blocks of 8: one einsum
+per block gives every row its sum over the steps before the block, and each
+row adds the few products within the block in Python floats.  Each peeled
 level folds back in as one first-order recurrence.  Z^ex is log-concave
 (Stanley, Ann. N.Y. Acad. Sci. 576, 500 (1989)), so its ratios never grow
 and the terms past step m sum to at most Z^ex_m r_m / (1 - r_m); the
@@ -34,6 +36,7 @@ empirical estimate of where condensation sets in.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -79,6 +82,10 @@ _MAX_PEEL = 8
 _PEEL_CHARGE = 1 / 64
 # largest (powers x levels) slab one exp call in _power_sums evaluates
 _SLAB_TERMS = 1 << 16
+# steps per block of the excited recursion: one einsum per block makes the
+# rows' history sums; 4 and 6 measured slower than 8, 10 and 12 no faster,
+# and the overflow bound in _log_partitions allows at most 13
+_BLOCK = 8
 
 
 class CutoffConvergenceWarning(UserWarning):
@@ -235,55 +242,82 @@ def _log_partitions(excited_sums: np.ndarray, peeled: np.ndarray, n_max: int
     """(ln Z_0..ln Z_N, m*) from the excited power sums and the peeled weights.
 
     Z(t) = prod_{j<g} (1 - x_j t)^-1 * Z^ex(t); peeled holds x_1..x_{g-1}
-    (the ground level, x_0 = 1, is always peeled).  Step m makes Z^ex_m from
-    S^ex by the linear recursion: the Z^ex_j live in one buffer in reverse
-    order (Z^ex_j at index N - j), so each step is a forward, contiguous sum
-    of products.  Z^ex_m then passes through one first-order recurrence per
-    peeled level, Y_m = x_j Y_{m-1} + W_m, and a running sum (x_0 = 1) gives
-    Z_m.  Everything is held divided by exp(shift); when Z_m passes
-    _RESCALE_AT it is all divided by Z_m and shift becomes ln Z_m.  Nothing
-    can overflow: every held value is at most Z_m, and Z_m / Z_{m-1} is at
-    most S_1, the mode count at most.
+    (the ground level, x_0 = 1, is always peeled).  Step n makes Z^ex_n from
+    S^ex by the linear recursion, n Z^ex_n = sum_k S^ex_k Z^ex_{n-k}.  The
+    Z^ex_j live in one buffer in reverse order (Z^ex_j at index N - j), and
+    the steps run in blocks of _BLOCK.  At the start of a block that follows
+    step m0, one einsum makes the history part of every row of the block,
+    H_n = sum_{j<=m0} S^ex_{n-j} Z^ex_j: a strided (Hankel) view of the
+    sums, row r starting at S^ex_{r+1}, times the buffer's live slice.  Row
+    n then adds its in-block triangle, sum_{k<n-m0} S^ex_k Z^ex_{n-k}, in
+    Python floats.  Z^ex_n passes through one first-order recurrence per
+    peeled level, Y_n = x_j Y_{n-1} + W_n, and a running sum (x_0 = 1)
+    gives Z_n.  Everything is held divided by exp(shift); when Z_n passes
+    _RESCALE_AT, the buffer, the peeled states and the block's pending
+    history sums are all divided by Z_n and shift becomes ln Z_n.  Nothing
+    can overflow: every held Z value is at most Z_n, Z_n / Z_{n-1} is at
+    most S_1 (the mode count at most), and a history sum is at most
+    n Z^ex_n <= n S_1^_BLOCK Z^ex_{m0} with Z^ex_{m0} <= _RESCALE_AT.  So
+    _BLOCK log10(MAX_MODES) + log10(THERMO_MAX_N) + log10(_RESCALE_AT) must
+    stay below 308, which holds for _BLOCK <= 13.
 
-    Z^ex is log-concave, so r_m = Z^ex_m / Z^ex_{m-1} never increases and the
-    excited terms past m sum to at most Z^ex_m r_m / (1 - r_m).  The
+    Z^ex is log-concave, so r_n = Z^ex_n / Z^ex_{n-1} never increases and the
+    excited terms past n sum to at most Z^ex_n r_n / (1 - r_n).  The
     recursion stops at the first such m* where that is below _STOP_RELATIVE
-    of sum_{j<=m} Z^ex_j.  That bounds the relative change to every Z_n,
-    because Z_n = sum_m Z^ex_m h_{n-m} with h_n, the peeled factors' own
-    coefficients, non-decreasing in n.  Past m* the peeled recurrences run
-    on with W = 0, vectorised (_geometric_filter).
+    of sum_{j<=n} Z^ex_j, whichever row of a block that is.  That bounds the
+    relative change to every Z_n, because Z_n = sum_m Z^ex_m h_{n-m} with
+    h_n, the peeled factors' own coefficients, non-decreasing in n.  Past m*
+    the peeled recurrences run on with W = 0, vectorised (_geometric_filter).
     """
     log_z = np.zeros(n_max + 1)
     buf = np.zeros(n_max + 1)
     buf[n_max] = 1.0
     states = [1.0] * len(peeled)
     peeled = [float(x) for x in peeled]
+    head = excited_sums[:_BLOCK - 1].tolist()
+    # read-only, and numpy refuses a view that would reach past its end
+    sums = memoryview(excited_sums).toreadonly()
+    step = excited_sums.itemsize
     shift, total, excited, prev = 0.0, 1.0, 1.0, 1.0
     stop = n_max
-    for n in range(1, n_max + 1):
-        value = _dot(excited_sums[:n], buf[n_max - n + 1:]) / n
-        buf[n_max - n] = value
-        y = value
-        for i, x in enumerate(peeled):
-            y = states[i] = x * states[i] + y
-        total += y
-        excited += value
-        log_z[n] = shift + math.log(total)
-        if value < prev:
-            ratio = value / prev
-            if value * ratio < _STOP_RELATIVE * (1.0 - ratio) * excited:
-                stop = n
-                break
-        prev = value
-        if total > _RESCALE_AT:
-            live = buf[n_max - n:]
-            live /= total
-            live[live < _FLUSH_BELOW] = 0.0
-            states = [v / total for v in states]
-            prev /= total
-            excited /= total
-            total = 1.0
-            shift = log_z[n]
+    for start in range(0, n_max, _BLOCK):
+        rows = min(_BLOCK, n_max - start)
+        hankel = np.ndarray((rows, start + 1), buffer=sums, strides=(step, step))
+        history = np.einsum("ij,j->i", hankel, buf[n_max - start:]).tolist()
+        # the block's Z^ex so far, newest first as in the buffer, which they
+        # reach at a rescale or at the end of the block
+        recent = []
+        for r in range(rows):
+            n = start + 1 + r
+            value = sum(map(operator.mul, head, recent), history[r]) / n
+            recent.insert(0, value)
+            y = value
+            for i, x in enumerate(peeled):
+                y = states[i] = x * states[i] + y
+            total += y
+            excited += value
+            log_z[n] = shift + math.log(total)
+            if value < prev:
+                ratio = value / prev
+                if value * ratio < _STOP_RELATIVE * (1.0 - ratio) * excited:
+                    stop = n
+                    break
+            prev = value
+            if total > _RESCALE_AT:
+                live = buf[n_max - n:]
+                live[:r + 1] = recent
+                live /= total
+                live[live < _FLUSH_BELOW] = 0.0
+                recent = live[:r + 1].tolist()
+                history[r + 1:] = [h / total for h in history[r + 1:]]
+                states = [v / total for v in states]
+                prev /= total
+                excited /= total
+                total = 1.0
+                shift = log_z[n]
+        buf[n_max - n:n_max - start] = recent
+        if stop < n_max:
+            break
     if stop < n_max:
         y = np.zeros(n_max - stop)
         for x, state in zip(peeled, states):

@@ -571,8 +571,12 @@ import lslab
 from lslab.lab import KNOWN_CHECKS, main
 config = lslab.load_config(None, {"n_schedule": "100,200", "realizations_per_n": "2",
                                   "checks": ",".join(KNOWN_CHECKS)})
-lslab.run_ensemble(config)
+lslab.run_ensemble(config, workers=1)
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported by a cell"
+# the process pool and the command line are imported only where they are used
+loaded = {"concurrent.futures.process", "multiprocessing", "socket", "subprocess",
+          "logging", "argparse"} & set(sys.modules)
+assert not loaded, f"a serial scan loaded {sorted(loaded)}"
 assert main(["scan", "--n-schedule", "100,200", "--realizations-per-n", "2",
              "--checks", ",".join(KNOWN_CHECKS), "--output-dir", sys.argv[1]]) == 0
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported by the report"

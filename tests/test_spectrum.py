@@ -1,5 +1,6 @@
 """Dirichlet spectra: construction, ground mode, cutoff policy."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -108,6 +109,41 @@ def test_cutoff_completeness_no_mode_missing_or_extra():
     np.maximum.at(n_top, s.interval_indices, s.mode_numbers)
     next_energy = dirichlet_energy(n_top + 1, r.interval_lengths)
     assert np.all(next_energy > cutoff)
+
+
+def test_exact_energy_ties_keep_construction_order():
+    # lengths a, 2a and 4a: harmonic n of a ties with 2n of 2a and 4n of 4a
+    # exactly, so most energies are tied; ties must stay in (interval,
+    # harmonic) order, as a stable sort of the built table leaves them
+    lengths = np.random.default_rng(5).permutation(np.repeat([1.0, 2.0, 4.0], 30))
+    r = make_realization(np.cumsum(lengths)[:-1] - lengths.sum() / 2, lengths.sum())
+    np.testing.assert_array_equal(r.interval_lengths, lengths)
+    s = build_spectrum(r, 64 * PI_SQ)
+    n_max = (8 * lengths).astype(np.int64)
+    interval = np.repeat(np.arange(lengths.size), n_max)
+    harmonic = np.concatenate([np.arange(1, n + 1) for n in n_max])
+    built = dirichlet_energy(harmonic, lengths[interval])
+    order = np.argsort(built, kind="stable")
+    assert np.count_nonzero(np.diff(built[order]) == 0) > len(s) // 2
+    np.testing.assert_array_equal(s.energies, built[order])
+    np.testing.assert_array_equal(s.interval_indices, interval[order])
+    np.testing.assert_array_equal(s.mode_numbers, harmonic[order])
+
+
+@pytest.mark.parametrize("box_length, base_seed, index, beta, n_modes, digest", [
+    (20000 / 0.6, 43, 0, 1.0, 51883,
+     "fde3cef97634f8c7e9778b77618457287d5132fe2f47db837df7e7d8f2f3596d"),
+    (1e4, 7, 2, 1.0, 15255, "284b2197f6acbe3d6604815a3cab968adb0e8b51f691e388a63f95dbefbc5d1b"),
+    (300.0, 8, 1, 0.3, 899, "a4ceb7b6e0536d23f9dae7dd3f97656c90682a93d632224ce035668861c598b3"),
+])
+def test_built_spectrum_bytes_are_pinned(box_length, base_seed, index, beta, n_modes, digest):
+    # energies, interval indices and mode numbers, bit for bit, in sorted order
+    r = sample_realization(1.0, box_length, EnsembleSeed(base_seed, index))
+    s = build_spectrum(r, default_cutoff(r, beta))
+    assert len(s) == n_modes
+    got = hashlib.sha256(s.energies.tobytes() + s.interval_indices.tobytes()
+                         + s.mode_numbers.tobytes()).hexdigest()
+    assert got == digest
 
 
 def test_mode_count_above_ceiling_is_refused(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import lslab.thermo
 from lslab.disorder import EnsembleSeed, sample_realization
-from lslab.spectrum import build_spectrum, default_cutoff
+from lslab.spectrum import MAX_MODES, build_spectrum, default_cutoff
 from lslab.thermo import (
     THERMO_MAX_N,
     CutoffConvergenceWarning,
@@ -25,6 +25,9 @@ from lslab.thermo import (
 )
 
 from conftest import enumerate_bose, toy_spectrum
+
+
+BLOCK = lslab.thermo._BLOCK
 
 
 def sampled_spectrum(box_length=2000.0, beta=1.0, seed=EnsembleSeed(10, 0)):
@@ -142,12 +145,19 @@ def test_recursion_agrees_with_log_sum_exp_oracle():
 
 def test_partition_degenerate_levels_closed_form_across_rescaling():
     # g levels at one energy: Z_n = C(n + g - 1, n).  ln Z_N ~ 1904 here, so
-    # the linear recursion re-anchors its buffer several times on the way.
+    # the linear recursion re-anchors its buffer several times on the way,
+    # and some of those rescales leave rows of their block still pending.
     g, n_max = 1000, 2000
     log_z = canonical_partition(toy_spectrum([0.0] * g), 1.0, n_max)
     closed = np.array([math.lgamma(k + g) - math.lgamma(k + 1) - math.lgamma(g)
                        for k in range(n_max + 1)])
     assert closed[-1] > 1900.0
+    rescales, shift = [], 0.0
+    for n in range(1, n_max + 1):
+        if closed[n] - shift > math.log(lslab.thermo._RESCALE_AT):
+            rescales.append(n)
+            shift = closed[n]
+    assert any(n % BLOCK for n in rescales)
     np.testing.assert_allclose(log_z, closed, rtol=1e-12, atol=1e-12)
 
 
@@ -173,6 +183,43 @@ def test_split_stops_early_on_a_sampled_spectrum():
     spec = sampled_spectrum(box_length=n / 0.6, seed=EnsembleSeed(23, 1))
     assert lslab.thermo._solve(spec, 1.0, n)[4] < 0.75 * n
     assert_matches_full_recursion(spec, 1.0, n)
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+def test_block_seams_match_full_recursion(n):
+    # the recursion runs to N here: a last block that is full or cut short
+    spec = sampled_spectrum()
+    assert lslab.thermo._solve(spec, 1.0, n)[4] == n
+    assert_matches_full_recursion(spec, 1.0, n)
+
+
+@pytest.mark.parametrize("row", [1, 0], ids=["first_row", "last_row"])
+def test_stop_on_a_block_seam_matches_full_recursion(row):
+    # m* = 1 mod BLOCK stops on a block's first row, m* = 0 mod BLOCK on its last
+    n = 3000
+    spec = sampled_spectrum(box_length=n / 0.6, seed=EnsembleSeed(26, 0))
+    for beta in np.linspace(1.0, 1.5, 101):
+        stop = lslab.thermo._solve(spec, beta, n)[4]
+        if stop < n and stop % BLOCK == row:
+            break
+    else:
+        pytest.fail(f"no beta stops on row {row} of a block")
+    assert_matches_full_recursion(spec, beta, n)
+
+
+def test_hot_spectrum_runs_every_block_to_n():
+    # at beta = 0.3 the excited levels never saturate, so m* = N
+    n, beta = 1203, 0.3
+    spec = sampled_spectrum(box_length=n / 0.6, beta=beta, seed=EnsembleSeed(27, 0))
+    assert lslab.thermo._solve(spec, beta, n)[4] == n
+    assert_matches_full_recursion(spec, beta, n)
+
+
+def test_block_history_sums_cannot_overflow():
+    # a history sum is at most N S_1^BLOCK times a held value below _RESCALE_AT
+    exponent = (BLOCK * math.log10(MAX_MODES) + math.log10(THERMO_MAX_N)
+                + math.log10(lslab.thermo._RESCALE_AT))
+    assert exponent < math.log10(np.finfo(float).max)
 
 
 @settings(max_examples=30, deadline=None)
