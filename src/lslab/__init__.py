@@ -6,9 +6,8 @@ closed-form bounds and scaling diagnostics that govern when the condensate
 survives.
 """
 
-from .disorder import (DisorderRealization, EnsembleSeed, count_intervals_at_least,
-                       longest_interval, realization_from_text, realization_to_text,
-                       sample_realization)
+from .disorder import (DisorderRealization, EnsembleSeed, realization_from_text,
+                       realization_to_text, sample_realization)
 from .spectrum import (EigenMode, EmptySpectrumError, Spectrum, build_spectrum,
                        cutoff_is_converged, default_cutoff, dirichlet_energy,
                        ground_mode, ground_state_energy, spectrum_to_text,

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disorder import DisorderRealization, count_intervals_at_least, longest_interval
+from .disorder import DisorderRealization
 from .spectrum import EigenMode
 
 __all__ = [
@@ -38,10 +38,6 @@ __all__ = [
     "check_appendix_count",
     "format_value",
 ]
-
-# intervals at least this long can host one unit plateau plus two unit switches
-_TRIAL_MIN_LENGTH = 3.0
-
 
 class VoidTrialStateError(ValueError):
     """No interval is long enough to host a trial bump."""
@@ -78,7 +74,7 @@ def check_lemma21(realization: DisorderRealization, epsilon: float = 0.5,
     log_l = math.log(big_l)
     lower = (log_l - (1.0 + epsilon) * math.log(log_l)) / nu
     upper = alpha * log_l / nu
-    l_max, _ = longest_interval(realization)
+    l_max = realization.l_max
     return Lemma21Result(l_max >= lower, l_max <= upper, l_max, lower, upper)
 
 
@@ -336,7 +332,7 @@ def trial_state_energy(realization: DisorderRealization, particle_number: int,
         raise ValueError("particle_number must be a positive integer")
     if interaction_l1_norm < 0:
         raise ValueError("interaction_l1_norm must be nonnegative")
-    count_q = count_intervals_at_least(realization, _TRIAL_MIN_LENGTH)
+    count_q = realization.long_count
     if count_q == 0:
         raise VoidTrialStateError("no interval of length >= 3 to host the trial state")
     kappa = transition_kinetic_constant()
@@ -367,7 +363,7 @@ def check_appendix_count(realization: DisorderRealization,
     nu = realization.intensity
     n = density * realization.box_length
     threshold = nu / (4.0 * math.exp(3.0 * nu) * density) * n
-    count = count_intervals_at_least(realization, _TRIAL_MIN_LENGTH)
+    count = realization.long_count
     return AppendixCountResult(count, threshold, count >= threshold)
 
 

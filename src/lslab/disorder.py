@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -26,8 +27,6 @@ __all__ = [
     "DisorderRealization",
     "check_point_budget",
     "sample_realization",
-    "longest_interval",
-    "count_intervals_at_least",
     "realization_to_text",
     "realization_from_text",
 ]
@@ -39,6 +38,10 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 # checks peak at about 8 bytes per point (the points alone), so this is under
 # 1 GB; a spectrum adds 8 more per point for the interval lengths it reads
 MAX_POINTS = 10**8
+
+# intervals at least this long can host one unit plateau plus two unit
+# switches (the trial state); the appendix floor counts the same intervals
+LONG_INTERVAL = 3.0
 
 
 def _splitmix64(state: int) -> int:
@@ -74,32 +77,45 @@ class EnsembleSeed:
         return Generator(PCG64(self.stream_seed()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisorderRealization:
     """One point configuration on the open box (-L/2, +L/2).
 
     The sorted points are the whole realization: interval j runs from -L/2
     (j = 0) or points[j-1] to points[j] or +L/2 (j = n_points), so there are
-    n_points + 1 intervals.  Their lengths are not stored: each statistic
-    streams them from the points in cache-sized blocks and is memoised in
-    _memo, as is the interval_lengths array once something asks for it.
+    n_points + 1 intervals.  Their lengths are not stored: the pass that
+    checks the points streams them in cache-sized blocks and keeps the three
+    statistics the checks read, the longest length l_max, the first index
+    l_max_index attaining it and long_count = #{length >= LONG_INTERVAL}.
+    The interval_lengths array is built only when something asks for it.
+    Instances compare and hash by identity.
     """
 
     intensity: float
     box_length: float
     points: np.ndarray
     seed_info: EnsembleSeed
-    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    l_max: float = field(init=False)
+    l_max_index: int = field(init=False)
+    long_count: int = field(init=False)
 
     def __post_init__(self):
         if not (0 < self.intensity < np.inf and 0 < self.box_length < np.inf):
             raise ValueError("intensity and box_length must be positive and finite")
         if self.points.ndim != 1:
             raise ValueError("points must be a 1-d array")
-        for _, block in _length_blocks(self):
+        best, index, count = -np.inf, 0, 0
+        for start, block in _length_blocks(self):
             # min() > 0 exactly when the points increase strictly inside the box; NaN fails
             if not block.min() > 0:
                 raise ValueError("points must be strictly increasing inside the open box")
+            # only a strictly longer block maximum replaces the best, so the first index wins
+            if (top := block.max()) > best:
+                best, index = top, start + int((block == top).argmax())
+            count += int(np.count_nonzero(block >= LONG_INTERVAL))
+        object.__setattr__(self, "l_max", float(best))
+        object.__setattr__(self, "l_max_index", index)
+        object.__setattr__(self, "long_count", count)
         # realizations are immutable once built; shared freely across workers
         self.points.setflags(write=False)
 
@@ -111,16 +127,14 @@ class DisorderRealization:
     def n_intervals(self) -> int:
         return self.n_points + 1
 
-    @property
+    @cached_property
     def interval_lengths(self) -> np.ndarray:
         """All n_points + 1 interval lengths, read-only, built on first access."""
-        if "lengths" not in (memo := self._memo):
-            lengths = np.empty(self.n_intervals)
-            for start, block in _length_blocks(self):
-                lengths[start:start + block.size] = block
-            lengths.setflags(write=False)
-            memo["lengths"] = lengths
-        return memo["lengths"]
+        lengths = np.empty(self.n_intervals)
+        for start, block in _length_blocks(self):
+            lengths[start:start + block.size] = block
+        lengths.setflags(write=False)
+        return lengths
 
 
 # 2^16 lengths (512 KB) per block stay in cache from the subtraction that
@@ -199,28 +213,6 @@ def sample_realization(intensity: float, box_length: float,
         pts[kept:kept + moved.size] = moved
         kept += moved.size
     return DisorderRealization(float(intensity), float(box_length), pts[:kept], seed)
-
-
-def longest_interval(realization: DisorderRealization) -> tuple[float, int]:
-    """Maximum interval length and the first index attaining it."""
-    if "longest" not in (memo := realization._memo):
-        best, index = -np.inf, 0
-        for start, block in _length_blocks(realization):
-            # only a strictly longer block maximum replaces the best, so the first index wins
-            if (top := block.max()) > best:
-                best, index = top, start + int((block == top).argmax())
-        memo["longest"] = float(best), index
-    return memo["longest"]
-
-
-def count_intervals_at_least(realization: DisorderRealization, threshold: float) -> int:
-    """Number of intervals with length >= threshold."""
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
-    if threshold not in (memo := realization._memo):
-        memo[threshold] = sum(int(np.count_nonzero(block >= threshold))
-                              for _, block in _length_blocks(realization))
-    return memo[threshold]
 
 
 def realization_to_text(realization: DisorderRealization) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderRealization, longest_interval
+from .disorder import DisorderRealization
 
 __all__ = [
     "MAX_MODES",
@@ -70,7 +70,7 @@ class EigenMode:
             raise ValueError("interval_length must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Energy-sorted finite spectrum plus the lengths of its intervals."""
 
@@ -152,7 +152,7 @@ def ground_state_energy(realization: DisorderRealization) -> float:
 
 def ground_mode(realization: DisorderRealization) -> EigenMode:
     """The lowest mode as an EigenMode record."""
-    l_max, idx = longest_interval(realization)
+    l_max, idx = realization.l_max, realization.l_max_index
     left = realization.points[idx - 1] if idx else -realization.box_length / 2.0
     return EigenMode(idx, 1, float(dirichlet_energy(1, l_max)), float(left), l_max)
 

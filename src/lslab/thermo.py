@@ -92,7 +92,7 @@ class CutoffConvergenceWarning(UserWarning):
     """The spectrum cutoff truncates non-negligible Boltzmann weight at this beta."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoSolution:
     """Canonical occupation summary for one (spectrum, beta, N).
 
@@ -212,12 +212,14 @@ def _peel_count(delta: np.ndarray, beta: float, n: int) -> int:
     count = min(gaps.size, 1 + int(np.count_nonzero(gaps[:_MAX_PEEL - 1] <= 1.0)))
     if count == 0:
         return 1
+    # a zero gap makes its occupation and tail inf, and a sum of huge
+    # occupations overflows; min(., N) clips such an inf like any m* past N
     with np.errstate(divide="ignore", over="ignore"):
         occupation = 1.0 / np.expm1(gaps)
         tail = _STOP_LOG / gaps[:count]
-    head = occupation[:count]
-    saturation = occupation[count:].sum() + np.cumsum(head[::-1])[::-1]
-    cost = np.minimum(saturation + tail, n) + np.arange(count) * (n * _PEEL_CHARGE)
+        head = occupation[:count]
+        saturation = occupation[count:].sum() + np.cumsum(head[::-1])[::-1]
+        cost = np.minimum(saturation + tail, n) + np.arange(count) * (n * _PEEL_CHARGE)
     return 1 + int(np.argmin(cost))
 
 

@@ -27,7 +27,7 @@ from lslab.bounds import (
     transition_switch_derivative,
     trial_state_energy,
 )
-from lslab.disorder import EnsembleSeed, longest_interval, sample_realization
+from lslab.disorder import EnsembleSeed, sample_realization
 from lslab.spectrum import EigenMode, dirichlet_energy, ground_mode
 
 from conftest import make_realization
@@ -45,7 +45,7 @@ def test_lemma21_bound_formulas():
     assert res.upper_bound == pytest.approx(5.0 * log_l, rel=1e-15)
     assert res.lower_bound == pytest.approx(7.848, abs=2e-3)
     assert res.upper_bound == pytest.approx(57.56, abs=6e-3)
-    assert res.l_max == longest_interval(r)[0]
+    assert res.l_max == r.interval_lengths.max()
     assert res.lower_ok and res.upper_ok
 
 
@@ -242,7 +242,7 @@ def test_box_count_criterion_shrinks_along_schedule():
         vals = []
         for i in range(40):
             r = sample_realization(1.0, float(n), EnsembleSeed(505, i))
-            s = math.ceil(longest_interval(r)[0] / a) + 1
+            s = math.ceil(r.l_max / a) + 1
             vals.append(box_count_criterion(s, n))
         medians.append(np.median(vals))
     assert medians[0] > medians[1] > medians[2]

@@ -13,8 +13,6 @@ import lslab.disorder
 from lslab.disorder import (
     DisorderRealization,
     EnsembleSeed,
-    count_intervals_at_least,
-    longest_interval,
     realization_from_text,
     realization_to_text,
     sample_realization,
@@ -24,6 +22,18 @@ from lslab.spectrum import build_spectrum, default_cutoff, ground_mode
 from conftest import make_realization
 
 _BLOCK = lslab.disorder._BLOCK
+
+
+def _assert_statistics_match(r, ref):
+    """The realization's stored statistics and ground mode equal those of the whole array ref."""
+    assert ref.tobytes() == r.interval_lengths.tobytes()
+    longest = int(np.argmax(ref))
+    assert (r.l_max, r.l_max_index) == (float(ref[longest]), longest)
+    assert r.long_count == np.count_nonzero(ref >= 3.0)
+    mode = ground_mode(r)
+    left_edges = np.concatenate(([-r.box_length / 2.0], r.points))
+    assert (mode.interval_index, mode.interval_length) == (longest, ref[longest])
+    assert mode.interval_left == left_edges[longest]
 
 
 def test_stream_seed_is_pure_function_of_labels():
@@ -105,7 +115,8 @@ def test_repeated_and_edge_draws_are_merged(monkeypatch):
     draws[:] = [1.0, -5.0, 3.0, 1.0, -2.0, 5.0, 3.0, 4.5]
     r = sample_realization(1.0, 10.0, EnsembleSeed(0, 0))
     np.testing.assert_array_equal(r.points, [-2.0, 1.0, 3.0, 4.5])
-    np.testing.assert_array_equal(r.interval_lengths, [3.0, 3.0, 2.0, 1.5, 0.5])
+    # the refused first attempt saw the unmerged draws; the statistics are the merged ones
+    _assert_statistics_match(r, np.array([3.0, 3.0, 2.0, 1.5, 0.5]))
     assert r.interval_lengths.sum() == 10.0
 
     # once the edge draws are cut off, draw _BLOCK repeats draw _BLOCK - 1,
@@ -115,7 +126,7 @@ def test_repeated_and_edge_draws_are_merged(monkeypatch):
     draws[:] = [5.0, *first[::-1], first[_BLOCK - 1], -5.0, first[-1], -5.0, first[-1]]
     r = sample_realization(1.0, 10.0, EnsembleSeed(0, 0))
     assert r.points.tobytes() == first.tobytes()
-    assert r.interval_lengths.tobytes() == np.diff(np.concatenate(([-5.0], first, [5.0]))).tobytes()
+    _assert_statistics_match(r, np.diff(np.concatenate(([-5.0], first, [5.0]))))
     assert abs(r.interval_lengths.sum() - 10.0) <= 1e-12
 
 
@@ -123,8 +134,8 @@ def test_longest_interval_follows_the_gumbel_law():
     # nu l_max - ln(nu L) tends to the Gumbel law exp(-e^{-y}).  Over these
     # 2000 realizations at L = 1e4 the KS distance is 0.011 (5% critical
     # value 0.030); points drawn at nu = 1.05 but read at nu = 1 give 0.145
-    y = [longest_interval(sample_realization(1.0, 1e4, EnsembleSeed(1234, i)))[0]
-         - math.log(1e4) for i in range(2000)]
+    y = [sample_realization(1.0, 1e4, EnsembleSeed(1234, i)).l_max - math.log(1e4)
+         for i in range(2000)]
     assert stats.kstest(y, "gumbel_r").statistic < 0.030
 
 
@@ -168,32 +179,31 @@ def test_mean_gap_inverse_intensity():
 
 def test_longest_interval_returns_first_maximum():
     r = make_realization([0.0], 2.0)  # lengths (1, 1): tie broken to index 0
-    length, idx = longest_interval(r)
-    assert (length, idx) == (1.0, 0)
+    assert (r.l_max, r.l_max_index) == (1.0, 0)
     r2 = make_realization([-0.5], 3.0)  # lengths (1, 2)
-    assert longest_interval(r2) == (2.0, 1)
+    assert (r2.l_max, r2.l_max_index) == (2.0, 1)
 
 
 def test_longest_interval_tracks_log_box_length():
     # E[l_max] ~ ln(L)/nu; a loose bracket is enough to catch scale bugs.
-    lmax = [longest_interval(sample_realization(1.0, 1e5, EnsembleSeed(31, i)))[0]
-            for i in range(300)]
+    lmax = [sample_realization(1.0, 1e5, EnsembleSeed(31, i)).l_max for i in range(300)]
     mean = np.mean(lmax)
     assert 0.5 * math.log(1e5) < mean < 5.0 * math.log(1e5)
 
 
 def test_count_intervals_at_least():
-    r = make_realization([-2.0, 1.0], 10.0)  # lengths (3, 3, 4)
-    assert count_intervals_at_least(r, 3.0) == 3
-    assert count_intervals_at_least(r, 3.5) == 1
-    assert count_intervals_at_least(r, 4.0001) == 0
-    with pytest.raises(ValueError):
-        count_intervals_at_least(r, 0.0)
+    assert make_realization([-2.0, 1.0], 10.0).long_count == 3  # lengths (3, 3, 4)
+    # lengths just below, exactly at and just above 3: a threshold of 2.9
+    # would count three and one of 3.1 would count one
+    r = _from_lengths([2.95, 3.0, 3.05])
+    np.testing.assert_allclose(r.interval_lengths, [2.95, 3.0, 3.05], rtol=1e-15)
+    assert r.interval_lengths[1] == 3.0
+    assert r.long_count == 2
 
 
 def test_count_rate_matches_exponential_tail():
     # P(interval >= t) ~ e^{-nu t}: mean count/L within 10% of e^{-3}.
-    counts = [count_intervals_at_least(sample_realization(1.0, 1e4, EnsembleSeed(55, i)), 3.0)
+    counts = [sample_realization(1.0, 1e4, EnsembleSeed(55, i)).long_count
               for i in range(200)]
     rate = np.mean(counts) / 1e4
     assert abs(rate - math.exp(-3.0)) < 0.1 * math.exp(-3.0)
@@ -293,12 +303,9 @@ def test_blocked_statistics_match_the_whole_array(n_points, longest_at):
     half = r.box_length / 2.0
     ref = np.diff(np.concatenate(([-half], r.points, [half])))
     assert ref.tobytes() == expected.tobytes()
-    assert longest_interval(r) == (float(ref.max()), int(np.argmax(ref)))
-    assert longest_interval(r)[1] == longest_at[0]
-    for threshold in (0.5, 3.0, 500.0, 5000.0):
-        assert count_intervals_at_least(r, threshold) == np.count_nonzero(ref >= threshold)
+    _assert_statistics_match(r, ref)
+    assert r.l_max_index == longest_at[0]
     lengths = r.interval_lengths
-    assert lengths.tobytes() == ref.tobytes()
     assert lengths.flags.c_contiguous and not lengths.flags.writeable
     assert r.interval_lengths is lengths
     assert r.n_intervals == ref.size

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lslab
-from lslab.disorder import EnsembleSeed, longest_interval, sample_realization
+from lslab.disorder import EnsembleSeed, sample_realization
 from lslab.lab import (
     _CONFIG_FIELDS,
     CHECKS,
@@ -123,7 +123,7 @@ def test_seed_above_2_53_replays_exactly(tmp_path):
     rec = run_ensemble(config).records[0]
     assert rec["base_seed"] == seed
     r = sample_realization(config.intensity, 100.0, EnsembleSeed(seed, 0))
-    assert longest_interval(r)[0] == rec["lemma21_l_max"]
+    assert r.l_max == rec["lemma21_l_max"]
 
 
 # one value per config key, each different from the default and valid alone
@@ -187,7 +187,7 @@ def test_run_ensemble_is_replayable():
     rec = report.records[3]
     r = sample_realization(config.intensity, rec["n"] / config.density,
                            EnsembleSeed(rec["base_seed"], rec["realization_index"]))
-    assert longest_interval(r)[0] == rec["lemma21_l_max"]
+    assert r.l_max == rec["lemma21_l_max"]
 
 
 def test_run_ensemble_parallel_matches_serial():
@@ -516,6 +516,27 @@ def test_known_checks_cover_all_evaluators():
     config.validate()
     report = run_ensemble(config)
     assert len(report.records) == 1
+
+
+def test_bound_checks_reuse_the_validating_pass(monkeypatch):
+    # the pass that checks a realization's points also measures l_max, its
+    # index and the long count, so the checks that read them stream nothing
+    calls = []
+    stream = lslab.disorder._length_blocks
+
+    def counted(realization):
+        calls.append(realization)
+        return stream(realization)
+
+    monkeypatch.setattr(lslab.disorder, "_length_blocks", counted)
+    config = load_config(None)
+    n = 1000
+    r = sample_realization(config.intensity, n / config.density, EnsembleSeed(5, 0))
+    values = {name: CHECKS[name].evaluate(config, n, r)
+              for name in ("lemma21", "appendix", "hardcore_bound", "trial_energy")}
+    assert calls == [r]
+    assert values["lemma21"]["l_max"] == r.interval_lengths.max()
+    assert values["appendix"]["count"] == values["trial_energy"]["count_q"] > 0
 
 
 def _source_env() -> dict:

@@ -1,5 +1,6 @@
 """Exact canonical-ensemble statistics against brute-force and closed forms."""
 
+import hashlib
 import math
 import warnings
 
@@ -213,6 +214,49 @@ def test_hot_spectrum_runs_every_block_to_n():
     spec = sampled_spectrum(box_length=n / 0.6, beta=beta, seed=EnsembleSeed(27, 0))
     assert lslab.thermo._solve(spec, beta, n)[4] == n
     assert_matches_full_recursion(spec, beta, n)
+
+
+@pytest.mark.parametrize("box_length, base_seed, index, beta, n, stop, digest", [
+    (4000 / 0.6, 23, 1, 1.0, 4000, 1519,
+     "ea2bc1e278a75e2f578b652a4694bb0b346fa7849eb5531b2c67697176050e28"),
+    (1203 / 0.6, 27, 0, 0.3, 1203, 1203,
+     "a769481ef66af5ffac63e41a519295c9a4bf68e714f869f702282fff3c1519c9"),
+], ids=["stops-early", "runs-to-n"])
+def test_log_partition_bytes_are_pinned(box_length, base_seed, index, beta, n, stop, digest):
+    # ln Z_0 .. ln Z_N bit for bit.  These are the bits of one numpy build,
+    # libm and CPU feature set: np.exp and math.log pick a code path by CPU
+    # feature (numpy's AVX-512 loops, libm's FMA variants), and the bits move
+    # with it, so a host with a different dispatch may fail this pin alone
+    spec = sampled_spectrum(box_length=box_length, beta=beta,
+                            seed=EnsembleSeed(base_seed, index))
+    assert lslab.thermo._solve(spec, beta, n)[4] == stop
+    log_z = canonical_partition(spec, beta, n)
+    assert hashlib.sha256(log_z.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("energies, n", [
+    # 77 zero gaps make their occupations inf; 26 near-subnormal ones sum past the float max
+    ([0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 2.2250738585072014e-308] * 26, 1),
+    # eight near-subnormal gaps: the peeled candidates' running sum passes the float max
+    ([0.0] + [2.2250738585072014e-308] * 8 + [1.0], 3),
+], ids=["sum", "cumsum"])
+def test_peel_count_does_not_warn_on_huge_occupations(energies, n):
+    spec = toy_spectrum(energies)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_z = canonical_partition(spec, 1.0, n)
+    assert np.all(np.isfinite(log_z))
+    assert_matches_full_recursion(spec, 1.0, n)
+
+
+def test_results_compare_and_hash_by_identity():
+    r = sample_realization(1.0, 300.0, EnsembleSeed(8, 1))
+    twin = sample_realization(1.0, 300.0, EnsembleSeed(8, 1))
+    spec, spec_twin = (build_spectrum(x, default_cutoff(x, 1.0)) for x in (r, twin))
+    sol, sol_twin = (condensate_profile(x, 1.0, 100, 4) for x in (spec, spec_twin))
+    for a, b in ((r, twin), (spec, spec_twin), (sol, sol_twin)):
+        assert a == a and a != b
+        assert len({hash(a), hash(b)}) == 2
 
 
 def test_block_history_sums_cannot_overflow():
