@@ -1,5 +1,6 @@
 """Configuration, ensemble orchestration, report emission, and the CLI."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -238,6 +239,32 @@ def test_emit_report_files_deterministic(tmp_path):
                      "summary.csv"]
     for pa, pb in zip(sorted(first), sorted(second)):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("checks, n_schedule, realizations, base_seed, digests", [
+    ("lemma21,appendix,thermo", "200,2000", "3", "3", {
+        "summary.csv": "ecba278e566d8f1af2e095ae984a6094e0c0ad1b36ddaf074d114b97c63fcdc3",
+        "pass_fractions.csv": "46d34918398aa5de32dc352483188e8a2cd5bd05a12a8b9d3d8dee0612e359d3",
+        "records.csv": "1d22ca0cea93cec9dd9480daf943211786cc68491580832d0e78dbfa971cc055"}),
+    ("hardcore_bound,scaling,trial_energy", "1000,1e5", "3", "4", {
+        "summary.csv": "c489ba9c65f0a6ed219c90b0935e5e1623877a66fde1e17c86fb88052f99e5f9",
+        "pass_fractions.csv": "fe1736258c114912fe01c789c33844169c914883f128e292eeca55d1d8833144",
+        "scaling_trends.csv": "68c40afaf065c7d65c9460e56c69cbd2a0a530b40dbbe401d289f5a929781611",
+        "records.csv": "692ccf14ca2cea5d37908d780932e6bbe705a9573282ed84212363e432939b64"}),
+], ids=["thermo", "disorder"])
+def test_report_bytes_are_pinned(checks, n_schedule, realizations, base_seed, digests,
+                                 tmp_path, capsys):
+    # every report file bit for bit.  These are the bits of one numpy build,
+    # libm and CPU feature set: np.exp, np.log and math.log pick a code path
+    # by CPU feature (numpy's AVX-512 loops, libm's FMA variants), and the
+    # thermo_*, hardcore_* and scaling_* bits move with it, so a host with a
+    # different dispatch may fail this pin alone
+    assert main(["scan", "--density", "0.6", "--n-schedule", n_schedule,
+                 "--realizations-per-n", realizations, "--base-seed", base_seed,
+                 "--checks", checks, "--output-dir", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == digests
 
 
 def test_emit_report_summary_shape(tmp_path):
