@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -53,7 +53,12 @@ _META_COLUMNS = ("n", "realization_index", "base_seed", "box_length")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a scan needs; box lengths are always derived as N / density."""
+    """Everything a scan needs; box lengths are always derived as N / density.
+
+    The fields are the config schema: each is a config-file key and a flag,
+    parsed by its type.  Building a config refuses any key whose own value is
+    out of range, raising ConfigError.
+    """
 
     intensity: float = 1.0
     density: float = 1.0
@@ -73,14 +78,7 @@ class ExperimentConfig:
     interaction_floor: PowerLogLaw = PowerLogLaw(1.0, 0.0)
     delta_width: PowerLogLaw = PowerLogLaw(1.0, -0.2)
 
-    @property
-    def scaling(self) -> ScalingSpec:
-        """The four laws together; raises ValueError on an unbounded radius or range."""
-        return ScalingSpec(self.hardcore_radius, self.interaction_range,
-                           self.interaction_floor, self.delta_width)
-
-    def validate_keys(self) -> None:
-        """Refuse any key whose own value is out of range."""
+    def __post_init__(self) -> None:
         for key in ("intensity", "density", "beta"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be positive and finite")
@@ -115,9 +113,14 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
 
+    @property
+    def scaling(self) -> ScalingSpec:
+        """The four laws together; raises ValueError on an unbounded radius or range."""
+        return ScalingSpec(self.hardcore_radius, self.interaction_range,
+                           self.interaction_floor, self.delta_width)
+
     def validate(self) -> None:
-        """validate_keys, then refuse a schedule that the configured checks cannot run."""
-        self.validate_keys()
+        """Refuse a schedule that the configured checks cannot run."""
         try:
             check_point_budget(self.intensity, max(self.n_schedule) / self.density)
         except ValueError as err:
@@ -187,27 +190,13 @@ def _as_law(value) -> PowerLogLaw:
     return PowerLogLaw(*parts)
 
 
-_LAW_KEYS = ("hardcore_radius", "interaction_range", "interaction_floor", "delta_width")
+# the parser of each field type of ExperimentConfig (its annotation, as text)
+_PARSERS = {"float": float, "int": _as_int, "str": str, "tuple[int, ...]": _as_int_list,
+            "tuple[str, ...]": _as_checks, "PowerLogLaw": _as_law}
 
-_CONFIG_FIELDS = {
-    "intensity": float,
-    "density": float,
-    "beta": float,
-    "n_schedule": _as_int_list,
-    "realizations_per_n": _as_int,
-    "base_seed": _as_int,
-    "top_k": _as_int,
-    "checks": _as_checks,
-    "output_dir": str,
-    "lemma21_epsilon": float,
-    "lemma21_alpha": float,
-    "interaction_l1_norm": float,
-    "workers": _as_int,
-    "hardcore_radius": _as_law,
-    "interaction_range": _as_law,
-    "interaction_floor": _as_law,
-    "delta_width": _as_law,
-}
+_CONFIG_FIELDS = {field.name: _PARSERS[field.type] for field in fields(ExperimentConfig)}
+
+_LAW_KEYS = tuple(key for key, parse in _CONFIG_FIELDS.items() if parse is _as_law)
 
 
 def _parse_config_text(text: str) -> dict[str, str]:
@@ -229,8 +218,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None,
 
     Override entries with value None are ignored, so argparse defaults can be
     passed straight through; explicit flags win over the file.  With
-    scan=False only each key's own value is checked (validate_keys), for a
-    caller that reads some keys but runs neither the schedule nor the checks.
+    scan=False only each key's own value is checked, as it is in every
+    ExperimentConfig, for a caller that reads some keys but runs neither the
+    schedule nor the checks.
     """
     raw: dict = {}
     if path is not None:
@@ -248,8 +238,6 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None,
     config = ExperimentConfig(**kwargs)
     if scan:
         config.validate()
-    else:
-        config.validate_keys()
     return config
 
 
@@ -382,18 +370,18 @@ def _value_columns(checks) -> list[tuple[str, bool]]:
             if check.name in checks for f in check.fields]
 
 
-def _record_columns(checks) -> tuple[str, ...]:
-    return _META_COLUMNS + tuple(col for col, _ in _value_columns(checks))
-
-
 @dataclass(frozen=True)
 class EnsembleReport:
     """Full record set of one scan plus optional scaling diagnostics."""
 
     config: ExperimentConfig
-    columns: tuple[str, ...]
     records: list[dict]
     scaling: ScalingDiagnostics | None = None
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The record columns: the meta columns, then those of each configured check."""
+        return _META_COLUMNS + tuple(col for col, _ in _value_columns(self.config.checks))
 
 
 def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> EnsembleReport:
@@ -419,8 +407,7 @@ def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> Ensemb
     diag = None
     if "scaling" in config.checks:
         diag = scaling_diagnostics(config.scaling, config.n_schedule)
-    return EnsembleReport(config=config, columns=_record_columns(config.checks),
-                          records=records, scaling=diag)
+    return EnsembleReport(config=config, records=records, scaling=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +494,12 @@ def _pass_table(report: EnsembleReport) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _csv_lines(header, rows) -> list[str]:
+    return [",".join(header), *(",".join(map(format_value, row)) for row in rows)]
+
+
 def _write_table(path: Path, header, rows) -> Path:
-    lines = [",".join(header)]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(_csv_lines(header, rows)) + "\n", encoding="utf-8")
     return path
 
 
@@ -524,8 +513,6 @@ def emit_report(report: EnsembleReport, output_dir: str | Path) -> list[Path]:
     """
     if not report.records:
         raise ValueError("report has no records")
-    if len(report.columns) <= len(_META_COLUMNS):
-        raise ValueError("report has no check columns")
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = [_write_table(outdir / "summary.csv", *_summary_table(report))]
@@ -627,12 +614,9 @@ def _cmd_scan(args) -> int:
 
 def _cmd_diag(args) -> int:
     diag = scaling_diagnostics(_config(args).scaling, _as_int_list(args.n_grid))
-    names = list(diag.columns)
-    lines = ["n," + ",".join(names)]
-    for i, n in enumerate(diag.n_grid):
-        row = [int(n), *(float(col[i]) for col in diag.columns.values())]
-        lines.append(",".join(map(format_value, row)))
-    lines.extend(f"# tail trend {name} = {diag.trends[name]}" for name in names)
+    rows = ([int(n), *values] for n, *values in zip(diag.n_grid, *diag.columns.values()))
+    lines = _csv_lines(["n", *diag.columns], rows)
+    lines.extend(f"# tail trend {name} = {trend}" for name, trend in diag.trends.items())
     _emit_text("\n".join(lines) + "\n", args.output)
     return 0
 

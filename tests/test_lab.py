@@ -114,6 +114,20 @@ def test_config_rejections(overrides, fragment):
         load_config(None, overrides)
 
 
+@pytest.mark.parametrize("key, value, fragment", [
+    ("beta", -1.0, "beta must be positive and finite"),
+    ("density", math.nan, "density must be positive and finite"),
+    ("n_schedule", (), "must not be empty"),
+    ("workers", 0, "workers must be >= 1"),
+    ("checks", ("bogus",), "unknown checks: bogus"),
+    ("hardcore_radius", lslab.PowerLogLaw(1.0, 0.5), "hardcore_radius must stay bounded"),
+])
+def test_building_a_config_refuses_out_of_range_keys(key, value, fragment):
+    # no ExperimentConfig holds an out-of-range key, however it was built
+    with pytest.raises(ConfigError, match=fragment):
+        ExperimentConfig(**{key: value})
+
+
 def test_seed_above_2_53_replays_exactly(tmp_path):
     seed = 2 ** 53 + 1
     path = tmp_path / "exp.cfg"
@@ -324,7 +338,7 @@ def test_emit_report_rejects_empty_and_unknown_format(tmp_path):
                                 "realizations_per_n": "1"})
     report = run_ensemble(config)
     with pytest.raises(ValueError):
-        emit_report(EnsembleReport(config, report.columns, []), tmp_path)
+        emit_report(EnsembleReport(config, []), tmp_path)
 
 
 def test_single_realization_checks_records(tmp_path):
