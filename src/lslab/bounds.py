@@ -65,8 +65,8 @@ def check_lemma21(realization: DisorderRealization, epsilon: float = 0.5,
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if alpha <= 4.0:
-        raise ValueError("alpha must exceed 4")
+    if not 4.0 < alpha < math.inf:
+        raise ValueError("alpha must exceed 4 and be finite")
     big_l = realization.box_length
     if big_l <= math.e:
         raise ValueError("box_length must exceed e for the iterated logarithm")
@@ -127,14 +127,14 @@ def box_masses(mode: EigenMode, box_length: float) -> list[tuple[int, float]]:
 def pule_aonghusa_bound(box_masses: list[tuple[int, float]],
                         box_total_length: float) -> float:
     """Occupation-density bound (1/L) (sum_n sqrt(m_n))^2 from per-box masses."""
-    if box_total_length <= 0:
-        raise ValueError("box_total_length must be positive")
+    if not 0 < box_total_length < math.inf:
+        raise ValueError("box_total_length must be positive and finite")
     m = np.asarray([mass for _, mass in box_masses], dtype=float)
     if m.size == 0:
         raise ValueError("no box masses given")
-    if np.any(m < -1e-12):
+    if not np.all(m >= -1e-12):
         raise ValueError("masses must be nonnegative")
-    if abs(float(m.sum()) - 1.0) > 1e-6:
+    if not abs(float(m.sum()) - 1.0) <= 1e-6:
         raise ValueError("masses must sum to 1")
     root_sum = float(np.sqrt(np.clip(m, 0.0, None)).sum())
     return root_sum ** 2 / box_total_length
@@ -143,29 +143,29 @@ def pule_aonghusa_bound(box_masses: list[tuple[int, float]],
 def theorem33_bound(alpha: float, intensity: float, box_total_length: float,
                     box_length: float) -> float:
     """Deterministic envelope alpha^2 nu^-2 ln^2(L) / (a^2 L) for the box bound."""
-    if alpha <= 4.0:
-        raise ValueError("alpha must exceed 4")
-    if intensity <= 0 or box_length <= 0:
-        raise ValueError("intensity and box_length must be positive")
-    if box_total_length <= 1.0:
-        raise ValueError("box_total_length must exceed 1")
+    if not 4.0 < alpha < math.inf:
+        raise ValueError("alpha must exceed 4 and be finite")
+    if not (0 < intensity < math.inf and 0 < box_length < math.inf):
+        raise ValueError("intensity and box_length must be positive and finite")
+    if not 1.0 < box_total_length < math.inf:
+        raise ValueError("box_total_length must exceed 1 and be finite")
     log_l = math.log(box_total_length)
     return (alpha / intensity) ** 2 * log_l ** 2 / (box_length ** 2 * box_total_length)
 
 
 def critical_density(radius_sup: float) -> float:
     """Hard-core packing ceiling 1 / (2 sup_N a_N)."""
-    if radius_sup <= 0:
-        raise ValueError("radius_sup must be positive")
+    if not 0 < radius_sup < math.inf:
+        raise ValueError("radius_sup must be positive and finite")
     return 1.0 / (2.0 * radius_sup)
 
 
 def box_count_criterion(support_box_count: int, particle_number: float) -> float:
     """S^2 / N for a state supported on S boxes; small values favor condensation."""
-    if support_box_count < 1:
+    if not support_box_count >= 1:
         raise ValueError("support_box_count must be >= 1")
-    if particle_number <= 0:
-        raise ValueError("particle_number must be positive")
+    if not 0 < particle_number < math.inf:
+        raise ValueError("particle_number must be positive and finite")
     return float(support_box_count) ** 2 / float(particle_number)
 
 
@@ -330,8 +330,8 @@ def trial_state_energy(realization: DisorderRealization, particle_number: int,
     n = int(particle_number)
     if n < 1:
         raise ValueError("particle_number must be a positive integer")
-    if interaction_l1_norm < 0:
-        raise ValueError("interaction_l1_norm must be nonnegative")
+    if not 0.0 <= interaction_l1_norm < math.inf:
+        raise ValueError("interaction_l1_norm must be nonnegative and finite")
     count_q = realization.long_count
     if count_q == 0:
         raise VoidTrialStateError("no interval of length >= 3 to host the trial state")
@@ -358,8 +358,8 @@ def check_appendix_count(realization: DisorderRealization,
 
         #{l_j >= 3}  >=  nu / (4 e^{3 nu} rho) * N      with N = rho * L.
     """
-    if density <= 0:
-        raise ValueError("density must be positive")
+    if not 0 < density < math.inf:
+        raise ValueError("density must be positive and finite")
     nu = realization.intensity
     n = density * realization.box_length
     threshold = nu / (4.0 * math.exp(3.0 * nu) * density) * n

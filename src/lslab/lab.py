@@ -133,7 +133,10 @@ class ExperimentConfig:
                 "schedule or drop the thermo check for the largest sizes")
         if "hardcore_bound" in self.checks:
             radius_sup = max(self.hardcore_radius(n) for n in self.n_schedule)
-            ceiling = critical_density(radius_sup)
+            try:
+                ceiling = critical_density(radius_sup)  # refuses a law that overflowed
+            except ValueError as err:
+                raise ConfigError(f"hardcore_radius: {err}") from None
             if self.density >= ceiling:
                 raise ConfigError(
                     f"density {self.density:g} exceeds the hard-core packing ceiling "

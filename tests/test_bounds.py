@@ -419,6 +419,35 @@ def test_appendix_zero_point_cases():
         check_appendix_count(make_realization([], 8.0), 0.0)
 
 
+# a NaN parameter is refused, as ExperimentConfig refuses it, rather than
+# turned into a NaN bound or a failed comparison; "r" stands for a realization
+# with three intervals of length >= 3
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("function, args", [
+    (check_lemma21, ("r", 0.5, _NAN)),
+    (check_lemma21, ("r", _NAN, 5.0)),
+    (theorem33_bound, (_NAN, 1.0, 100.0, 0.5)),
+    (theorem33_bound, (5.0, _NAN, 100.0, 0.5)),
+    (theorem33_bound, (5.0, 1.0, _NAN, 0.5)),
+    (theorem33_bound, (5.0, 1.0, 100.0, _NAN)),
+    (pule_aonghusa_bound, ([(0, 0.5), (1, 0.5)], _NAN)),
+    (pule_aonghusa_bound, ([(0, _NAN), (1, 1.0)], 100.0)),
+    (critical_density, (_NAN,)),
+    (box_count_criterion, (_NAN, 100)),
+    (box_count_criterion, (3, _NAN)),
+    (check_appendix_count, ("r", _NAN)),
+    (trial_state_energy, ("r", 100, _NAN)),
+])
+def test_bound_functions_refuse_nan(function, args):
+    r = make_realization([-20.0, 5.0], 100.0)
+    assert r.long_count == 3
+    with pytest.raises(ValueError, match="must") as info:
+        function(*(r if a == "r" else a for a in args))
+    assert not isinstance(info.value, VoidTrialStateError)
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 
