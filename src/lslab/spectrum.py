@@ -37,8 +37,8 @@ PI_SQ = math.pi ** 2
 # neglected-Boltzmann-mass target used by default_cutoff / cutoff_is_converged
 TAIL_WEIGHT_TARGET = 1e-12
 
-# ceiling on the modes of one spectrum; building one peaks at about 65 bytes
-# per mode (built and sorted columns side by side), so this is under 4 GB
+# ceiling on the modes of one spectrum; building one peaks at about 57 bytes
+# per mode (built and sorted columns side by side), so this is under 3 GB
 MAX_MODES = 5 * 10**7
 
 
@@ -84,7 +84,7 @@ class Spectrum:
     def __post_init__(self):
         if self.energies.size == 0:
             raise EmptySpectrumError("spectrum contains no modes")
-        if np.any(np.diff(self.energies) < 0):
+        if (self.energies[1:] < self.energies[:-1]).any():
             raise ValueError("energies must be sorted ascending")
         for arr in (self.energies, self.interval_indices, self.mode_numbers,
                     self.interval_lengths):

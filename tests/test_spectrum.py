@@ -192,6 +192,25 @@ def test_spectrum_requires_sorted_energies():
                  np.array([1, 2], dtype=np.int64), np.array([1.0]), 10.0, 1.0)
 
 
+@pytest.mark.parametrize("energies", [
+    [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, math.nan, 0.5], [math.nan, 1.0],
+    [1.0, math.inf, math.inf], [math.inf, 1.0], [-math.inf, 1.0], [1.0, 1.0, 0.5]])
+def test_sorted_check_matches_the_difference_rule(energies):
+    # the order check reads adjacent pairs; its verdict on signed zeros, NaN
+    # and infinities is that of any(diff(energies) < 0), which warns on inf - inf
+    e = np.array(energies)
+    with np.errstate(invalid="ignore"):
+        refused = bool(np.any(np.diff(e) < 0))
+    m = e.size
+    try:
+        Spectrum(e, np.zeros(m, dtype=np.int64), np.arange(1, m + 1, dtype=np.int64),
+                 np.array([1.0]), 10.0, 1.0)
+    except ValueError:
+        assert refused
+    else:
+        assert not refused
+
+
 def test_mode_accessor_consistency():
     r = sample_realization(1.0, 100.0, EnsembleSeed(19, 0))
     s = build_spectrum(r, 30.0)
