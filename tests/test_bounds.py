@@ -119,6 +119,21 @@ def test_box_masses_validation():
         box_masses(mode, 0.0)
 
 
+def test_box_masses_are_nonnegative_on_sliver_boxes():
+    # an interval that ends a few ulps past a box edge leaves a sliver box
+    # whose mass anti(l) - anti(l - sliver) can round to -1 ulp; masses are
+    # probabilities, so box_masses clips them at 0
+    masses = []
+    for n in (1, 2, 3):
+        for k in range(1, 40):
+            length = float(k)
+            for _ in range(3):
+                length = math.nextafter(length, math.inf)
+                mode = EigenMode(0, n, float(dirichlet_energy(n, length)), 0.0, length)
+                masses += [m for _, m in box_masses(mode, 1.0)]
+    assert min(masses) >= 0.0
+
+
 def test_pule_aonghusa_extremes():
     assert pule_aonghusa_bound([(0, 1.0)], 250.0) == pytest.approx(1 / 250.0, rel=1e-15)
     masses = [(n, 0.25) for n in range(4)]
