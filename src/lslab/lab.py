@@ -78,6 +78,12 @@ class ExperimentConfig:
     interaction_floor: PowerLogLaw = PowerLogLaw(1.0, 0.0)
     delta_width: PowerLogLaw = PowerLogLaw(1.0, -0.2)
 
+    @property
+    def scaling(self) -> ScalingSpec:
+        """The four laws together; raises ValueError on an unbounded radius or range."""
+        return ScalingSpec(self.hardcore_radius, self.interaction_range,
+                           self.interaction_floor, self.delta_width)
+
     def __post_init__(self) -> None:
         for key in ("intensity", "density", "beta"):
             if not 0 < getattr(self, key) < math.inf:
@@ -112,12 +118,6 @@ class ExperimentConfig:
         unknown = [c for c in self.checks if c not in KNOWN_CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
-
-    @property
-    def scaling(self) -> ScalingSpec:
-        """The four laws together; raises ValueError on an unbounded radius or range."""
-        return ScalingSpec(self.hardcore_radius, self.interaction_range,
-                           self.interaction_floor, self.delta_width)
 
     def validate(self) -> None:
         """Refuse a schedule that the configured checks cannot run."""
@@ -526,8 +526,9 @@ def emit_report(report: EnsembleReport, output_dir: str | Path) -> list[Path]:
         paths.append(_write_table(outdir / "scaling_trends.csv",
                                   ["diagnostic", "tail_trend"],
                                   report.scaling.trends.items()))
-    records = ([rec[c] for c in report.columns] for rec in report.records)
-    paths.append(_write_table(outdir / "records.csv", report.columns, records))
+    columns = report.columns
+    records = ([rec[c] for c in columns] for rec in report.records)
+    paths.append(_write_table(outdir / "records.csv", columns, records))
     return paths
 
 

@@ -85,10 +85,6 @@ def test_flag_overrides_beat_file(tmp_path):
     ({"checks": "thermo", "n_schedule": "30000"}, "capped"),
     ({"checks": "lemma21", "n_schedule": "2", "density": "1"}, "above e"),
     ({"checks": "hardcore_bound", "density": "3", "n_schedule": "100"}, "ceiling"),
-    # ln(N)^300 overflows: the radius is refused by name, not read as a ceiling of 0
-    pytest.param({"checks": "hardcore_bound", "n_schedule": "1e6",
-                  "hardcore_radius": "1,-0.1,300"}, "hardcore_radius: .*finite",
-                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
     ({"n_schedule": "100.4"}, "not an integer"),
     ({"realizations_per_n": "2.6"}, "not an integer"),
     ({"base_seed": "9007199254740993.5"}, "not an integer"),
@@ -112,6 +108,10 @@ def test_flag_overrides_beat_file(tmp_path):
     ({"interaction_range": "1,-0.2,-inf"}, "bad value for interaction_range: .*finite"),
     ({"interaction_l1_norm": "inf"}, "interaction_l1_norm must be nonnegative and finite"),
     ({"lemma21_alpha": "inf"}, "lemma21_alpha must exceed 4 and be finite"),
+    # ln(N)^300 overflows: the radius is refused by name, not read as a ceiling of 0
+    pytest.param({"checks": "hardcore_bound", "n_schedule": "1e6",
+                  "hardcore_radius": "1,-0.1,300"}, "hardcore_radius: .*finite",
+                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
 ])
 def test_config_rejections(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
