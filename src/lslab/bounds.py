@@ -244,6 +244,9 @@ def scaling_diagnostics(spec: ScalingSpec, n_grid) -> ScalingDiagnostics:
     range_growth         A_N^3 N / ln^3 N        must diverge
     floor_range_growth   b_N A_N^3 N / ln^3 N    must diverge when b_N -> 0
     delta_growth         eps_N^3 N / ln^3 N      must diverge (b_N = 1/(2 eps_N))
+
+    A law value or a diagnostic that is not positive and finite, such as one
+    that overflows on the grid, raises ValueError naming it and the N.
     """
     grid = np.asarray(list(n_grid), dtype=float)
     if grid.size < 1 or np.any(grid < 2):
@@ -251,16 +254,20 @@ def scaling_diagnostics(spec: ScalingSpec, n_grid) -> ScalingDiagnostics:
     if np.any(np.diff(grid) <= 0):
         raise ValueError("n_grid must be strictly increasing")
     log_n = np.log(grid)
-    a = spec.hardcore_radius(grid)
-    big_a = spec.interaction_range(grid)
-    floor = spec.interaction_floor(grid)
-    width = spec.delta_width(grid)
-    columns = {
-        "hardcore_vanishing": log_n ** 2 / (a ** 2 * grid),
-        "range_growth": big_a ** 3 * grid / log_n ** 3,
-        "floor_range_growth": floor * big_a ** 3 * grid / log_n ** 3,
-        "delta_growth": width ** 3 * grid / log_n ** 3,
-    }
+    with np.errstate(all="ignore"):  # an overflow is refused below, by its value
+        laws = {name: law(grid) for name, law in vars(spec).items()}
+        a, big_a, floor, width = laws.values()
+        columns = {
+            "hardcore_vanishing": log_n ** 2 / (a ** 2 * grid),
+            "range_growth": big_a ** 3 * grid / log_n ** 3,
+            "floor_range_growth": floor * big_a ** 3 * grid / log_n ** 3,
+            "delta_growth": width ** 3 * grid / log_n ** 3,
+        }
+    for name, values in {**laws, **columns}.items():
+        bad = ~((values > 0) & (values < math.inf))
+        if bad.any():
+            raise ValueError(f"{name} is {values[bad][0]:g} at N = {grid[bad][0]:g}, "
+                             "not positive and finite")
     trends = {name: _tail_trend(col) for name, col in columns.items()}
     return ScalingDiagnostics(grid, columns, trends)
 

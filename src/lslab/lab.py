@@ -57,7 +57,8 @@ class ExperimentConfig:
 
     The fields are the config schema: each is a config-file key and a flag,
     parsed by its type.  Building a config refuses any key whose own value is
-    out of range, raising ConfigError.
+    out of range, raising ConfigError, and puts `checks` in registry order,
+    each name once.
     """
 
     intensity: float = 1.0
@@ -118,9 +119,13 @@ class ExperimentConfig:
         unknown = [c for c in self.checks if c not in KNOWN_CHECKS]
         if unknown:
             raise ConfigError(f"unknown checks: {', '.join(unknown)}")
+        object.__setattr__(self, "checks", tuple(c for c in KNOWN_CHECKS if c in self.checks))
 
-    def validate(self) -> None:
-        """Refuse a schedule that the configured checks cannot run."""
+    def validate(self) -> ScalingDiagnostics | None:
+        """Refuse a schedule that the configured checks cannot run.
+
+        Returns the scaling check's diagnostics over the schedule, or None.
+        """
         try:
             check_point_budget(self.intensity, max(self.n_schedule) / self.density)
         except ValueError as err:
@@ -132,7 +137,8 @@ class ExperimentConfig:
                 f"thermo check is O(N^2) and capped at N={THERMO_MAX_N}; trim the "
                 "schedule or drop the thermo check for the largest sizes")
         if "hardcore_bound" in self.checks:
-            radius_sup = max(self.hardcore_radius(n) for n in self.n_schedule)
+            with np.errstate(over="ignore"):
+                radius_sup = max(self.hardcore_radius(n) for n in self.n_schedule)
             try:
                 ceiling = critical_density(radius_sup)  # refuses a law that overflowed
             except ValueError as err:
@@ -141,6 +147,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"density {self.density:g} exceeds the hard-core packing ceiling "
                     f"{ceiling:g}; shrink the radius or the density")
+        if "scaling" in self.checks:
+            try:
+                return scaling_diagnostics(self.scaling, self.n_schedule)
+            except ValueError as err:
+                raise ConfigError(str(err)) from None
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -167,27 +179,19 @@ def _as_int(value) -> int:
     return int(number)
 
 
+def _comma_list(value) -> tuple:
+    """The nonblank entries of a comma list, stripped; a sequence as it is."""
+    if isinstance(value, str):
+        return tuple(t.strip() for t in value.split(",") if t.strip())
+    return tuple(value)
+
+
 def _as_int_list(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        value = [t for t in value.split(",") if t.strip()]
-    return tuple(_as_int(v) for v in value)
-
-
-def _as_checks(value) -> tuple[str, ...]:
-    if isinstance(value, str):
-        toks = [t.strip() for t in value.split(",") if t.strip()]
-    else:
-        toks = list(value)
-    unknown = [t for t in toks if t not in KNOWN_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    return tuple(c for c in KNOWN_CHECKS if c in toks)
+    return tuple(_as_int(v) for v in _comma_list(value))
 
 
 def _as_law(value) -> PowerLogLaw:
-    if isinstance(value, PowerLogLaw):
-        return value
-    parts = [float(t) for t in str(value).split(",") if t.strip()]
+    parts = [float(t) for t in _comma_list(str(value))]
     if len(parts) not in (2, 3):
         raise ValueError("expected 'coefficient,exponent[,log_exponent]'")
     return PowerLogLaw(*parts)
@@ -195,7 +199,7 @@ def _as_law(value) -> PowerLogLaw:
 
 # the parser of each field type of ExperimentConfig (its annotation, as text)
 _PARSERS = {"float": float, "int": _as_int, "str": str, "tuple[int, ...]": _as_int_list,
-            "tuple[str, ...]": _as_checks, "PowerLogLaw": _as_law}
+            "tuple[str, ...]": _comma_list, "PowerLogLaw": _as_law}
 
 _CONFIG_FIELDS = {field.name: _PARSERS[field.type] for field in fields(ExperimentConfig)}
 
@@ -215,15 +219,14 @@ def _parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def load_config(path: str | Path | None = None, overrides: dict | None = None,
-                scan: bool = True) -> ExperimentConfig:
-    """Build a validated config from an optional flat key-value file plus overrides.
+def load_config(path: str | Path | None = None,
+                overrides: dict | None = None) -> ExperimentConfig:
+    """Build a config from an optional flat key-value file plus overrides.
 
     Override entries with value None are ignored, so argparse defaults can be
-    passed straight through; explicit flags win over the file.  With
-    scan=False only each key's own value is checked, as it is in every
-    ExperimentConfig, for a caller that reads some keys but runs neither the
-    schedule nor the checks.
+    passed straight through; explicit flags win over the file.  Each key's
+    own value is checked, as it is in every ExperimentConfig; the schedule is
+    checked against the checks by validate(), where a schedule runs.
     """
     raw: dict = {}
     if path is not None:
@@ -238,10 +241,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None,
             kwargs[key] = _CONFIG_FIELDS[key](value)
         except ValueError as err:
             raise ConfigError(f"bad value for {key}: {err}") from None
-    config = ExperimentConfig(**kwargs)
-    if scan:
-        config.validate()
-    return config
+    return ExperimentConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +250,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None,
 # Evaluators return their values under the check's unprefixed field names.
 # They look the lslab functions up as module globals at call time, so a
 # caller can swap those globals (e.g. to trace them).
+
+
+def _realization(config, box_length, index):
+    seed = EnsembleSeed(config.base_seed, index)
+    return sample_realization(config.intensity, box_length, seed)
 
 
 def _eval_lemma21(config, n, realization):
@@ -264,11 +269,14 @@ def _eval_appendix(config, n, realization):
     return {"count": res.count, "threshold": res.threshold, "pass": res.passed}
 
 
+def _thermo(config, n, realization):
+    spec = build_spectrum(realization, default_cutoff(realization, config.beta))
+    return spec, condensate_profile(spec, config.beta, n, min(config.top_k, len(spec)))
+
+
 def _eval_thermo(config, n, realization):
-    cutoff = default_cutoff(realization, config.beta)
-    spec = build_spectrum(realization, cutoff)
-    sol = condensate_profile(spec, config.beta, n, min(config.top_k, len(spec)))
-    return {"n_modes": len(spec), "energy_cutoff": cutoff,
+    spec, sol = _thermo(config, n, realization)
+    return {"n_modes": len(spec), "energy_cutoff": spec.energy_cutoff,
             "log_partition": sol.log_partition,
             "condensate_occupation": float(sol.occupations[0]),
             "condensate_density": sol.condensate_density,
@@ -351,8 +359,7 @@ def _evaluate_cell(config: ExperimentConfig, n: int, idx: int) -> dict:
 
     A check that raises is re-raised as a RuntimeError naming the cell.
     """
-    seed = EnsembleSeed(config.base_seed, idx)
-    realization = sample_realization(config.intensity, n / config.density, seed)
+    realization = _realization(config, n / config.density, idx)
     rec: dict = {"n": n, "realization_index": idx, "base_seed": config.base_seed,
                  "box_length": realization.box_length}
     for name in config.checks:
@@ -393,7 +400,7 @@ def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> Ensemb
     Cells are independent, so they can be fanned out over processes; results
     are merged back in schedule order regardless of completion order.
     """
-    config.validate()
+    diag = config.validate()
     n_workers = config.workers if workers is None else int(workers)
     cells = [(n, idx) for n in config.n_schedule
              for idx in range(config.realizations_per_n)]
@@ -407,9 +414,6 @@ def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> Ensemb
             records = [futures[cell].result() for cell in cells]
     else:
         records = [_evaluate_cell(config, n, idx) for n, idx in cells]
-    diag = None
-    if "scaling" in config.checks:
-        diag = scaling_diagnostics(config.scaling, config.n_schedule)
     return EnsembleReport(config=config, records=records, scaling=diag)
 
 
@@ -554,75 +558,57 @@ def _cell_text(checks, rec: dict) -> str:
 # command line
 
 
-def _emit_text(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _config(args, scan: bool = False, **fixed) -> ExperimentConfig:
+def _config(args, **fixed) -> ExperimentConfig:
     """The config of a subcommand: its config flags, then the keys it fixes.
 
-    Only `scan` and `bounds` run the schedule and checks, so only they pass
-    scan=True; the others get the per-key checks alone.
+    Only the keys are checked here; `scan` and `bounds` run a schedule, so
+    they check it against the checks through validate().
     """
     overrides = {key: getattr(args, key, None) for key in _CONFIG_FIELDS}
-    return load_config(getattr(args, "config", None), {**overrides, **fixed}, scan)
+    return load_config(getattr(args, "config", None), {**overrides, **fixed})
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> str:
     config = _config(args)
-    seed = EnsembleSeed(config.base_seed, args.index)
-    r = sample_realization(config.intensity, args.box_length, seed)
-    _emit_text(realization_to_text(r), args.output)
-    return 0
+    r = _realization(config, args.box_length, args.index)
+    return realization_to_text(r)
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> str:
     if args.cutoff is None and args.beta is None:
         raise ValueError("provide --cutoff or --beta (for the automatic cutoff)")
     config = _config(args)
-    seed = EnsembleSeed(config.base_seed, args.index)
-    r = sample_realization(config.intensity, args.box_length, seed)
+    r = _realization(config, args.box_length, args.index)
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(r, config.beta)
-    _emit_text(spectrum_to_text(build_spectrum(r, cutoff)), args.output)
-    return 0
+    return spectrum_to_text(build_spectrum(r, cutoff))
 
 
-def _cmd_occupancy(args) -> int:
+def _cmd_occupancy(args) -> str:
     config = _config(args)
-    seed = EnsembleSeed(config.base_seed, args.index)
-    r = sample_realization(config.intensity, args.particles / config.density, seed)
-    spec = build_spectrum(r, default_cutoff(r, config.beta))
-    sol = condensate_profile(spec, config.beta, args.particles,
-                             min(config.top_k, len(spec)))
-    _emit_text(thermo_solution_to_text(sol), args.output)
-    return 0
+    r = _realization(config, args.particles / config.density, args.index)
+    _, sol = _thermo(config, args.particles, r)
+    return thermo_solution_to_text(sol)
 
 
-def _cmd_bounds(args) -> int:
-    config = _config(args, scan=True, n_schedule=(args.particles,))
+def _cmd_bounds(args) -> str:
+    config = _config(args, n_schedule=(args.particles,))
+    config.validate()
     rec = _evaluate_cell(config, args.particles, args.index)
-    _emit_text(_cell_text(config.checks, rec), args.output)
-    return 0
+    return _cell_text(config.checks, rec)
 
 
-def _cmd_scan(args) -> int:
-    config = _config(args, scan=True)
+def _cmd_scan(args) -> str:
+    config = _config(args)
     report = run_ensemble(config)
-    for path in emit_report(report, config.output_dir):
-        print(path)
-    return 0
+    return "".join(f"{path}\n" for path in emit_report(report, config.output_dir))
 
 
-def _cmd_diag(args) -> int:
+def _cmd_diag(args) -> str:
     diag = scaling_diagnostics(_config(args).scaling, _as_int_list(args.n_grid))
     rows = ([int(n), *values] for n, *values in zip(diag.n_grid, *diag.columns.values()))
     lines = _csv_lines(["n", *diag.columns], rows)
     lines.extend(f"# tail trend {name} = {trend}" for name, trend in diag.trends.items())
-    _emit_text("\n".join(lines) + "\n", args.output)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 # config keys that only a whole scan uses; `bounds` evaluates one realization
@@ -707,12 +693,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its text goes to its -o file, or else to stdout."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text = args.func(args)
+        if getattr(args, "output", None):
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Inequalities, scaling diagnostics, and trial-state energy pieces."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +340,24 @@ def test_scaling_diagnostics_rows_and_validation():
     with pytest.raises(ValueError):
         scaling_diagnostics(default_spec(), [100, 100])
     assert scaling_diagnostics(default_spec(), [50]).trends["range_growth"] == "flat"
+
+
+@pytest.mark.parametrize("law, value, message", [
+    # ln(N)^300 overflows at N = 10^6
+    ("interaction_range", PowerLogLaw(1.0, -0.1, 300.0), r"interaction_range is inf at N = 1e\+06"),
+    # the law is finite, but A_N^3 overflows
+    ("interaction_range", PowerLogLaw(1e120, 0.0), r"range_growth is inf at N = 100,"),
+    # the radius underflows to 0 at N = 10^6
+    ("hardcore_radius", PowerLogLaw(1e-300, -10.0), r"hardcore_radius is 0 at N = 1e\+06"),
+    # a_N^2 overflows, so ln^2 N / (a_N^2 N) reads 0
+    ("hardcore_radius", PowerLogLaw(1e200, 0.0), r"hardcore_vanishing is 0 at N = 100,"),
+], ids=["range-law", "range-growth", "radius-underflow", "radius-squared"])
+def test_scaling_diagnostics_refuse_values_that_are_not_positive_and_finite(law, value, message):
+    spec = dataclasses.replace(default_spec(), **{law: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning escapes
+        with pytest.raises(ValueError, match=message):
+            scaling_diagnostics(spec, [1e2, 1e6])
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,13 +111,13 @@ def test_flag_overrides_beat_file(tmp_path):
     ({"interaction_l1_norm": "inf"}, "interaction_l1_norm must be nonnegative and finite"),
     ({"lemma21_alpha": "inf"}, "lemma21_alpha must exceed 4 and be finite"),
     # ln(N)^300 overflows: the radius is refused by name, not read as a ceiling of 0
-    pytest.param({"checks": "hardcore_bound", "n_schedule": "1e6",
-                  "hardcore_radius": "1,-0.1,300"}, "hardcore_radius: .*finite",
-                 marks=pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")),
+    ({"checks": "hardcore_bound", "n_schedule": "1e6", "hardcore_radius": "1,-0.1,300"},
+     "hardcore_radius: .*finite"),
 ])
 def test_config_rejections(overrides, fragment):
+    # load_config refuses a bad key; validate() refuses a schedule the checks cannot run
     with pytest.raises(ConfigError, match=fragment):
-        load_config(None, overrides)
+        load_config(None, overrides).validate()
 
 
 @pytest.mark.parametrize("key, value, fragment", [
@@ -130,6 +132,28 @@ def test_building_a_config_refuses_out_of_range_keys(key, value, fragment):
     # no ExperimentConfig holds an out-of-range key, however it was built
     with pytest.raises(ConfigError, match=fragment):
         ExperimentConfig(**{key: value})
+
+
+def test_checks_in_any_order_or_repeated_give_the_same_report(tmp_path):
+    schedule = {"n_schedule": (100, 200), "realizations_per_n": 2, "base_seed": 6}
+    built = ExperimentConfig(checks=("scaling", "appendix", "lemma21"), **schedule)
+    loaded = load_config(None, {"checks": "appendix,lemma21,scaling",
+                                "n_schedule": "100,200", "realizations_per_n": "2",
+                                "base_seed": "6"})
+    assert built == loaded
+    assert built.checks == ("lemma21", "appendix", "scaling")
+    written = [emit_report(run_ensemble(config), tmp_path / name)
+               for name, config in (("built", built), ("loaded", loaded))]
+    assert [p.name for p in written[0]] == [p.name for p in written[1]]
+    assert len(written[0]) == 4
+    for a, b in zip(*written):
+        assert a.read_bytes() == b.read_bytes()
+    # a repeated name is one check: one column group, one pass-fraction row per N
+    twice = ExperimentConfig(checks=("lemma21", "lemma21"), **schedule)
+    assert twice.checks == ("lemma21",)
+    paths = {p.name: p for p in emit_report(run_ensemble(twice), tmp_path / "twice")}
+    rows = paths["pass_fractions.csv"].read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["100", "lemma21"], ["200", "lemma21"]]
 
 
 def test_seed_above_2_53_replays_exactly(tmp_path):
@@ -495,6 +519,12 @@ def test_cli_error_paths_return_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "error: intensity must be positive and finite\n"
     assert main(["diag", "--n-grid", "1e2,1e4", "--delta-width", "inf,0"]) == 2
     assert capsys.readouterr().err.startswith("error: bad value for delta_width: ")
+    # a finite law that overflows on the grid is refused by name, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diag", "--n-grid", "1e2,1e6", "--interaction-range", "1,-0.1,300"]) == 2
+    assert capsys.readouterr().err == \
+        "error: interaction_range is inf at N = 1e+06, not positive and finite\n"
     # oversized inputs are refused with an error line, not by running out of memory
     monkeypatch.setattr(lslab.disorder, "MAX_POINTS", 1000)
     monkeypatch.setattr(lslab.spectrum, "MAX_MODES", 1000)
@@ -519,16 +549,27 @@ def test_one_realization_commands_skip_the_scan_checks(tmp_path, capsys):
     assert "particle_number = 1\n" in captured.out
 
 
-def test_scan_over_point_ceiling_runs_no_cell(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("argv, fragment", [
+    (["scan", "--n-schedule", "1e6,2e8", "--realizations-per-n", "4",
+      "--checks", "appendix", "--workers", "1"], "largest N = 200000000: .*ceiling"),
+    (["bounds", "--particles", "2e8", "--checks", "appendix"],
+     "largest N = 200000000: .*ceiling"),
+    # ln(N)^300 overflows at N = 10^6: the scaling check refuses the law by name
+    (["scan", "--n-schedule", "100,1000000", "--realizations-per-n", "1",
+      "--checks", "scaling", "--hardcore-radius", "1,-0.1,300"],
+     "hardcore_radius is inf at N = 1e\\+06"),
+], ids=["scan", "bounds", "scaling-overflow"])
+def test_scan_over_point_ceiling_runs_no_cell(argv, fragment, monkeypatch, tmp_path, capsys):
     def must_not_sample(*args, **kwargs):
         pytest.fail("a cell was sampled before the schedule was checked")
 
     monkeypatch.setattr(lslab.lab, "sample_realization", must_not_sample)
-    assert main(["scan", "--n-schedule", "1e6,2e8", "--realizations-per-n", "4",
-                 "--checks", "appendix", "--workers", "1",
-                 "--output-dir", str(tmp_path)]) == 2
+    if argv[0] == "scan":
+        argv = [*argv, "--output-dir", str(tmp_path)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: largest N = 200000000") and "ceiling" in err
+    assert re.fullmatch(f"error: {fragment}.*\n", err)
+    assert not (tmp_path / "records.csv").exists()
 
 
 def test_failing_check_names_its_cell(monkeypatch, tmp_path, capsys):
