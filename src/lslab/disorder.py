@@ -9,11 +9,21 @@ while the two edge pieces are clipped by the box boundary.
 Streams are counter-based: every (base_seed, realization_index) pair maps
 to its own generator through a 64-bit finalizer, so ensemble members can be
 produced in any order, in parallel, and replayed individually.
+
+A box with at least 2^19 points is drawn and sorted in slices of at least
+2^18 points, one thread each, pinned one per CPU that the calling thread
+may run on.  Each uniform takes one 64-bit output of the PCG64 stream, so
+a slice's stream is the generator's own, advanced to the slice's first
+draw; the points are then partitioned at the slice seams and each slice is
+sorted.  They are bit for bit those of one uniform draw and one sort,
+whatever the CPU count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import os
+import threading
+from collections.abc import Callable, Iterator
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,8 +45,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 # ceiling on the mean point count intensity*box_length; sampling and the
-# checks peak at about 8 bytes per point (the points alone), so this is under
-# 1 GB; a spectrum adds 8 more per point for the interval lengths it reads
+# checks peak at about 8 bytes per point (the points alone) plus one 512 KB
+# draw block per sampling thread, so this is under 1 GB; a spectrum adds 8
+# more per point for the interval lengths it reads
 MAX_POINTS = 10**8
 
 # intervals at least this long can host one unit plateau plus two unit
@@ -175,14 +186,107 @@ def check_point_budget(intensity: float, box_length: float) -> None:
             f"sampling ceiling {MAX_POINTS:g}; shrink the box or the intensity")
 
 
+def _cpus() -> list[int]:
+    """The CPUs the calling thread may run on (0 .. cpu_count - 1 where the OS has no mask)."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+# a sampling thread gets at least 2^18 points (2 MB), so thread start-up stays
+# far below its share of the draw and the sort
+_PART_MIN = 1 << 18
+
+
+def _on_threads(work: Callable[[int], None], parts: int) -> None:
+    """Call work(0), ..., work(parts - 1) and re-raise the first exception any of them raised.
+
+    One part runs on the calling thread.  More parts run on threads of their
+    own, thread i pinned to one CPU of the caller's mask, counted on from the
+    process id.  So the parts run side by side also where the kernel does not
+    balance load (a cpuset with load balancing off keeps a new thread on the
+    CPU of the thread that started it), and the worker processes of a scan
+    start on different CPUs.
+    """
+    if parts == 1:
+        work(0)
+        return
+    cpus = _cpus()
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            if hasattr(os, "sched_setaffinity"):
+                with suppress(OSError):  # unpinned, the part still runs
+                    os.sched_setaffinity(0, {cpus[(os.getpid() + i) % len(cpus)]})
+            work(i)
+        except BaseException as err:  # handed to the caller below
+            errors.append(err)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(parts)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _partition_at(pts: np.ndarray, cuts: list[int]) -> None:
+    """Reorder pts[cuts[0]:cuts[-1]] in place so that no value of a slice
+    between two cuts exceeds a value of the next slice.
+
+    numpy partitions at one index several times faster than at several, so
+    the middle cut is placed first and then the cuts on each side of it.
+    """
+    if len(cuts) > 2:
+        mid = len(cuts) // 2
+        pts[cuts[0]:cuts[-1]].partition(cuts[mid] - cuts[0])
+        _partition_at(pts, cuts[:mid + 1])
+        _partition_at(pts, cuts[mid:])
+
+
+def _sorted_uniforms(rng: Generator, count: int, half: float, parts: int) -> np.ndarray:
+    """rng.uniform(-half, half, size=count), sorted, drawn and sorted in parts slices.
+
+    Slice i draws from a copy of rng's PCG64 advanced by the slice's start,
+    which is where one uniform call of the full size would be at that draw,
+    and slice 0 draws from rng itself.  Each slice is drawn block by block
+    with uniform, so every value is numpy's own low + range*u.  The points are
+    then partitioned at the slice seams and each slice is sorted on its own
+    thread; draws are never NaN or -0.0, so that equals one full sort.
+    """
+    pts = np.empty(count)
+    cuts = [count * i // parts for i in range(parts + 1)]
+    streams = [rng]
+    if parts > 1:
+        state = rng.bit_generator.state
+        for start in cuts[1:-1]:
+            bits = PCG64(0)
+            bits.state = state
+            streams.append(Generator(bits.advance(start)))
+
+    def draw(i: int) -> None:
+        for start in range(cuts[i], cuts[i + 1], _BLOCK):
+            stop = min(start + _BLOCK, cuts[i + 1])
+            pts[start:stop] = streams[i].uniform(-half, half, size=stop - start)
+
+    _on_threads(draw, parts)
+    _partition_at(pts, cuts)
+    _on_threads(lambda i: pts[cuts[i]:cuts[i + 1]].sort(), parts)
+    return pts
+
+
 def sample_realization(intensity: float, box_length: float,
                        seed: EnsembleSeed) -> DisorderRealization:
     """Draw one realization at the given intensity on a box of this length.
 
     Count first (Poisson with mean intensity*box_length), then that many
-    sorted uniforms.  Only if a draw repeats or lands on a box edge are the
-    repeats merged and the edge points dropped, so every interval has positive
-    length.  A mean count above MAX_POINTS is refused before anything is drawn.
+    sorted uniforms; at 2^19 points or more the draw and the sort are split
+    over the process's CPUs, with the same points.  Only if a draw repeats or
+    lands on a box edge are the repeats merged and the edge points dropped,
+    so every interval has positive length.  A mean count above MAX_POINTS is
+    refused before anything is drawn.
     """
     if not 0 < intensity < np.inf:
         raise ValueError("intensity must be positive and finite")
@@ -192,8 +296,7 @@ def sample_realization(intensity: float, box_length: float,
     rng = seed.generator()
     count = int(rng.poisson(intensity * box_length))
     half = box_length / 2.0
-    pts = rng.uniform(-half, half, size=count)
-    pts.sort()
+    pts = _sorted_uniforms(rng, count, half, max(1, min(len(_cpus()), count // _PART_MIN)))
     with suppress(ValueError):  # refused only for a repeated draw or one on an edge
         return DisorderRealization(float(intensity), float(box_length), pts, seed)
     # sorted: edge draws sit at the ends and a repeat follows its first copy

@@ -138,9 +138,16 @@ class ExperimentConfig:
                 "schedule or drop the thermo check for the largest sizes")
         if "hardcore_bound" in self.checks:
             with np.errstate(over="ignore"):
-                radius_sup = max(self.hardcore_radius(n) for n in self.n_schedule)
+                radii = [self.hardcore_radius(n) for n in self.n_schedule]
+            for n, radius in zip(self.n_schedule, radii):
+                # the check divides box coordinates by the radius; a law that
+                # underflowed would make them infinite inside the first cell
+                if not (radius > 0 and math.isfinite(n / self.density / radius)):
+                    raise ConfigError(
+                        f"hardcore_radius is {radius:g} at N = {n:g}; it must be "
+                        "positive with box_length / hardcore_radius finite")
             try:
-                ceiling = critical_density(radius_sup)  # refuses a law that overflowed
+                ceiling = critical_density(max(radii))  # refuses a law that overflowed
             except ValueError as err:
                 raise ConfigError(f"hardcore_radius: {err}") from None
             if self.density >= ceiling:
@@ -159,13 +166,13 @@ class ExperimentConfig:
 # config parsing
 
 
-# int() refuses decimal strings longer than this by default; an exponent must
-# not get round that and build a huge integer
-_INT_MAX_DIGITS = 4300
-
-
 def _as_int(value) -> int:
-    """An exact integer: '1e4' is accepted because it is integral, '100.4' is not."""
+    """An exact integer: '1e4' is accepted because it is integral, '100.4' is not.
+
+    It must not pass the largest float: every integer read here is a size, a
+    count, an index or a seed, which the program also computes with as a
+    float, and an exponent must not build a huge integer.
+    """
     if not isinstance(value, (str, float)):
         return operator.index(value)
     try:
@@ -174,8 +181,8 @@ def _as_int(value) -> int:
         raise ValueError(f"{value!r} is not a number") from None
     if not number.is_finite() or number != number.to_integral_value():
         raise ValueError(f"{value!r} is not an integer")
-    if number.adjusted() >= _INT_MAX_DIGITS:
-        raise ValueError(f"{value!r} has too many digits")
+    if abs(number) > sys.float_info.max:
+        raise ValueError(f"{value!r} has too many digits for a float")
     return int(number)
 
 

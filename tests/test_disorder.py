@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -99,21 +100,26 @@ def test_sampled_bytes_are_pinned(box_length, base_seed, index, n_points, digest
 
 
 def test_repeated_and_edge_draws_are_merged(monkeypatch):
-    draws = []
+    draws, sizes = [], []
 
     class Stub:
         def poisson(self, lam):
             assert lam == 10.0
+            sizes.clear()
             return len(draws)
 
         def uniform(self, low, high, size):
-            assert (low, high, size) == (-5.0, 5.0, len(draws))
-            return np.array(draws)
+            # the sampler draws in blocks; hand the draws out in order
+            assert (low, high) == (-5.0, 5.0)
+            start = sum(sizes)
+            sizes.append(size)
+            return np.array(draws[start:start + size])
 
     monkeypatch.setattr(EnsembleSeed, "generator", lambda self: Stub())
     # a repeated draw and draws exactly on both box edges (half = 5)
     draws[:] = [1.0, -5.0, 3.0, 1.0, -2.0, 5.0, 3.0, 4.5]
     r = sample_realization(1.0, 10.0, EnsembleSeed(0, 0))
+    assert sum(sizes) == len(draws)
     np.testing.assert_array_equal(r.points, [-2.0, 1.0, 3.0, 4.5])
     # the refused first attempt saw the unmerged draws; the statistics are the merged ones
     _assert_statistics_match(r, np.array([3.0, 3.0, 2.0, 1.5, 0.5]))
@@ -125,9 +131,67 @@ def test_repeated_and_edge_draws_are_merged(monkeypatch):
     first = np.linspace(-4.9, 4.9, _BLOCK + 2)
     draws[:] = [5.0, *first[::-1], first[_BLOCK - 1], -5.0, first[-1], -5.0, first[-1]]
     r = sample_realization(1.0, 10.0, EnsembleSeed(0, 0))
+    assert sum(sizes) == len(draws)
     assert r.points.tobytes() == first.tobytes()
     _assert_statistics_match(r, np.diff(np.concatenate(([-5.0], first, [5.0]))))
     assert abs(r.interval_lengths.sum() - 10.0) <= 1e-12
+
+
+def _generator_after_the_count():
+    """The generator of labels (3, 1) after its Poisson count, as the sampler has it."""
+    rng = EnsembleSeed(3, 1).generator()
+    rng.poisson(10.0)
+    return rng
+
+
+@pytest.mark.parametrize("count", [7, 100_003, 2 * lslab.disorder._PART_MIN + 11])
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_split_draw_and_sort_equal_one_uniform_draw_and_sort(count, parts):
+    # 100_003 and 2^19 + 11 are divided by none of 2, 3 and 7; the sampler
+    # splits only counts of at least 2^18 per part, so no part is empty
+    ref = _generator_after_the_count().uniform(-7.5, 7.5, size=count)
+    ref.sort()
+    got = lslab.disorder._sorted_uniforms(_generator_after_the_count(), count, 7.5, parts)
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_large_box_is_sampled_in_parts_with_the_same_points(monkeypatch):
+    # 2^19 points or more are split over the CPUs; pretend there are three
+    first = lslab.disorder._cpus()[:1]
+    monkeypatch.setattr(lslab.disorder, "_cpus", lambda: first * 3)
+    split = []
+    sorted_uniforms = lslab.disorder._sorted_uniforms
+
+    def record_parts(rng, count, half, parts):
+        split.append(parts)
+        return sorted_uniforms(rng, count, half, parts)
+
+    monkeypatch.setattr(lslab.disorder, "_sorted_uniforms", record_parts)
+    seed = EnsembleSeed(11, 2)
+    r = sample_realization(1.0, 2.5 * 2**19, seed)
+    assert split == [3] and r.n_points >= 2 * lslab.disorder._PART_MIN
+    rng = seed.generator()
+    ref = rng.uniform(-2.5 * 2**18, 2.5 * 2**18, size=int(rng.poisson(2.5 * 2**19)))
+    ref.sort()
+    assert r.points.tobytes() == ref.tobytes()
+
+
+def test_worker_thread_errors_reach_the_caller(monkeypatch):
+    failed_on = []
+
+    class FailingGenerator(np.random.Generator):
+        def uniform(self, *args, **kwargs):
+            failed_on.append(threading.current_thread())
+            raise FloatingPointError("draw failed in a worker")
+
+    # slice 0 draws from the caller's generator; the other slices build
+    # theirs, which fail on the threads that draw them
+    rng = _generator_after_the_count()
+    monkeypatch.setattr(lslab.disorder, "Generator", FailingGenerator)
+    with pytest.raises(FloatingPointError, match="draw failed in a worker"):
+        lslab.disorder._sorted_uniforms(rng, 10 * _BLOCK, 1.0, 3)
+    assert len(failed_on) == 2
+    assert threading.main_thread() not in failed_on
 
 
 def test_longest_interval_follows_the_gumbel_law():

@@ -558,7 +558,11 @@ def test_one_realization_commands_skip_the_scan_checks(tmp_path, capsys):
     (["scan", "--n-schedule", "100,1000000", "--realizations-per-n", "1",
       "--checks", "scaling", "--hardcore-radius", "1,-0.1,300"],
      "hardcore_radius is inf at N = 1e\\+06"),
-], ids=["scan", "bounds", "scaling-overflow"])
+    # the radius underflows to a subnormal at N = 100, so box_length / radius is inf
+    (["scan", "--n-schedule", "100,1000000", "--realizations-per-n", "1",
+      "--checks", "hardcore_bound", "--hardcore-radius", "1e-300,-10"],
+     "hardcore_radius is 9.99989e-321 at N = 100; .*finite"),
+], ids=["scan", "bounds", "scaling-overflow", "hardcore-underflow"])
 def test_scan_over_point_ceiling_runs_no_cell(argv, fragment, monkeypatch, tmp_path, capsys):
     def must_not_sample(*args, **kwargs):
         pytest.fail("a cell was sampled before the schedule was checked")
@@ -569,6 +573,36 @@ def test_scan_over_point_ceiling_runs_no_cell(argv, fragment, monkeypatch, tmp_p
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert re.fullmatch(f"error: {fragment}.*\n", err)
+    assert not (tmp_path / "records.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["diag", "--n-grid", "1e2,1e400"],
+    ["scan", "--n-schedule", "1e400", "--checks", "appendix"],
+    ["bounds", "--particles", "1e400"],
+    ["occupancy", "--particles", "1e400"],
+], ids=["diag", "scan", "bounds", "occupancy"])
+def test_integers_beyond_the_float_range_are_refused(argv, monkeypatch, tmp_path, capsys):
+    # 1e400 is an exact integer but no float: an error line, not an OverflowError
+    def must_not_sample(*args, **kwargs):
+        pytest.fail("an integer beyond the float range reached the sampler")
+
+    monkeypatch.setattr(lslab.lab, "sample_realization", must_not_sample)
+    if argv[0] == "scan":
+        argv = [*argv, "--output-dir", str(tmp_path)]
+    if argv[0] in ("diag", "scan"):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch("error: (bad value for n_schedule: )?'1e400' has too many "
+                            "digits for a float\n", err)
+    else:
+        # --particles is parsed by argparse, which prints usage and its own error line
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --particles: invalid _as_int value: '1e400'\n")
+    assert "Traceback" not in err and "OverflowError" not in err
     assert not (tmp_path / "records.csv").exists()
 
 
