@@ -100,17 +100,26 @@ def _mode_mass_between(mode: EigenMode, a: float, b: float) -> float:
     return anti(u1) - anti(u0)
 
 
+# ceiling on the boxes box_masses lays over one interval; each costs a tuple
+# of about 120 bytes and 2 us, so the ceiling is about 120 MB and 2 s
+MAX_BOXES = 10**6
+
+
 def box_masses(mode: EigenMode, box_length: float) -> list[tuple[int, float]]:
     """Per-box masses of an eigenmode on the grid of boxes [a n, a (n+1)), n integer.
 
     The masses are closed-form integrals of |phi|^2.  Returns (box_index,
     mass) for every box meeting the mode's interval; the masses sum to 1.
+    An interval that would span MAX_BOXES boxes or more is refused.
     """
     a = float(box_length)
     if a <= 0:
         raise ValueError("box_length must be positive")
     lo = mode.interval_left
     hi = lo + mode.interval_length
+    if not mode.interval_length / a < MAX_BOXES:
+        raise ValueError(f"an interval of length {mode.interval_length:g} spans at "
+                         f"least {MAX_BOXES:g} boxes of length {a:g}")
     first = math.floor(lo / a)
     last = math.floor(hi / a)
     # boxes are half-open [a n, a (n+1)): a support ending exactly on a box

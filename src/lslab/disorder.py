@@ -10,13 +10,14 @@ Streams are counter-based: every (base_seed, realization_index) pair maps
 to its own generator through a 64-bit finalizer, so ensemble members can be
 produced in any order, in parallel, and replayed individually.
 
-A box with at least 2^19 points is drawn and sorted in slices of at least
-2^18 points, one thread each, pinned one per CPU that the calling thread
-may run on.  Each uniform takes one 64-bit output of the PCG64 stream, so
-a slice's stream is the generator's own, advanced to the slice's first
-draw; the points are then partitioned at the slice seams and each slice is
-sorted.  They are bit for bit those of one uniform draw and one sort,
-whatever the CPU count.
+A box with at least 2^19 points, in a process that may run on two CPUs or
+more, is drawn in two halves, one thread each.  Each uniform takes one
+64-bit output of the PCG64 stream, so the second half's stream is the
+generator's own, advanced to that half's first draw.  Each thread then
+moves its half's draws below 0 to the front, one swap gathers all of them
+at the front of the box, and the draws on each side of 0 are sorted on a
+thread of their own.  The points are bit for bit those of one uniform
+draw and one sort, whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -186,39 +187,48 @@ def check_point_budget(intensity: float, box_length: float) -> None:
             f"sampling ceiling {MAX_POINTS:g}; shrink the box or the intensity")
 
 
-def _cpus() -> list[int]:
-    """The CPUs the calling thread may run on (0 .. cpu_count - 1 where the OS has no mask)."""
-    if hasattr(os, "sched_getaffinity"):
-        return sorted(os.sched_getaffinity(0))
-    return list(range(os.cpu_count() or 1))
-
-
-# a sampling thread gets at least 2^18 points (2 MB), so thread start-up stays
-# far below its share of the draw and the sort
+# a box is split in two parts at most (the split at 0 is two-way), each of at
+# least 2^18 points (2 MB), so thread start-up stays far below a part's share
+# of the draw and the sort
+_PARTS_MAX = 2
 _PART_MIN = 1 << 18
+
+# a worker of a parallel scan clears this: the workers already keep the CPUs busy
+_split_boxes = True
+
+
+def _sample_on_one_thread() -> None:
+    """Draw and sort every box of this process on the calling thread."""
+    global _split_boxes
+    _split_boxes = False
+
+
+def _cpu_count() -> int:
+    """How many CPUs the calling thread may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parts(count: int) -> int:
+    """How many parts a box of count points is drawn and sorted in."""
+    if not _split_boxes:
+        return 1
+    return max(1, min(_PARTS_MAX, _cpu_count(), count // _PART_MIN))
 
 
 def _on_threads(work: Callable[[int], None], parts: int) -> None:
     """Call work(0), ..., work(parts - 1) and re-raise the first exception any of them raised.
 
-    One part runs on the calling thread.  More parts run on threads of their
-    own, thread i pinned to one CPU of the caller's mask, counted on from the
-    process id.  So the parts run side by side also where the kernel does not
-    balance load (a cpuset with load balancing off keeps a new thread on the
-    CPU of the thread that started it), and the worker processes of a scan
-    start on different CPUs.
+    One part runs on the calling thread, more parts on threads of their own.
     """
     if parts == 1:
         work(0)
         return
-    cpus = _cpus()
     errors: list[BaseException] = []
 
     def run(i: int) -> None:
         try:
-            if hasattr(os, "sched_setaffinity"):
-                with suppress(OSError):  # unpinned, the part still runs
-                    os.sched_setaffinity(0, {cpus[(os.getpid() + i) % len(cpus)]})
             work(i)
         except BaseException as err:  # handed to the caller below
             errors.append(err)
@@ -232,48 +242,53 @@ def _on_threads(work: Callable[[int], None], parts: int) -> None:
         raise errors[0]
 
 
-def _partition_at(pts: np.ndarray, cuts: list[int]) -> None:
-    """Reorder pts[cuts[0]:cuts[-1]] in place so that no value of a slice
-    between two cuts exceeds a value of the next slice.
-
-    numpy partitions at one index several times faster than at several, so
-    the middle cut is placed first and then the cuts on each side of it.
-    """
-    if len(cuts) > 2:
-        mid = len(cuts) // 2
-        pts[cuts[0]:cuts[-1]].partition(cuts[mid] - cuts[0])
-        _partition_at(pts, cuts[:mid + 1])
-        _partition_at(pts, cuts[mid:])
-
-
 def _sorted_uniforms(rng: Generator, count: int, half: float, parts: int) -> np.ndarray:
-    """rng.uniform(-half, half, size=count), sorted, drawn and sorted in parts slices.
+    """rng.uniform(-half, half, size=count), sorted, drawn and sorted in parts = 1 or 2 halves.
 
-    Slice i draws from a copy of rng's PCG64 advanced by the slice's start,
-    which is where one uniform call of the full size would be at that draw,
-    and slice 0 draws from rng itself.  Each slice is drawn block by block
-    with uniform, so every value is numpy's own low + range*u.  The points are
-    then partitioned at the slice seams and each slice is sorted on its own
-    thread; draws are never NaN or -0.0, so that equals one full sort.
+    The second half draws from a copy of rng's PCG64 advanced by the half's
+    start, which is where one uniform call of the full size would be at that
+    draw, and the first half draws from rng itself.  Each half is drawn block
+    by block with uniform, so every value is numpy's own low + range*u, and
+    then partitioned at its count of draws below 0.  A swap between the
+    halves puts every draw below 0 first, and the draws on each side of 0 are
+    sorted on a thread of their own; draws are never NaN or -0.0, so that
+    equals one full sort.
     """
     pts = np.empty(count)
     cuts = [count * i // parts for i in range(parts + 1)]
     streams = [rng]
     if parts > 1:
-        state = rng.bit_generator.state
-        for start in cuts[1:-1]:
-            bits = PCG64(0)
-            bits.state = state
-            streams.append(Generator(bits.advance(start)))
+        bits = PCG64(0)
+        bits.state = rng.bit_generator.state
+        streams.append(Generator(bits.advance(cuts[1])))
+    below = cuts[:-1]  # where each half's draws of 0 and above start
 
     def draw(i: int) -> None:
-        for start in range(cuts[i], cuts[i + 1], _BLOCK):
-            stop = min(start + _BLOCK, cuts[i + 1])
-            pts[start:stop] = streams[i].uniform(-half, half, size=stop - start)
+        half_pts = pts[cuts[i]:cuts[i + 1]]
+        negative = 0
+        for start in range(0, half_pts.size, _BLOCK):
+            block = half_pts[start:start + _BLOCK]
+            block[...] = streams[i].uniform(-half, half, size=block.size)
+            negative += int(np.count_nonzero(block < 0))
+        if parts > 1 and 0 < negative < half_pts.size:
+            half_pts.partition(negative)
+        below[i] = cuts[i] + negative
 
     _on_threads(draw, parts)
-    _partition_at(pts, cuts)
-    _on_threads(lambda i: pts[cuts[i]:cuts[i + 1]].sort(), parts)
+    seams = [0, count]
+    if parts > 1:
+        # pts is [< 0 | >= 0 | < 0 | >= 0]: swap the shorter of the middle two
+        # runs with the same length at the far end of the other, in blocks
+        # so that the peak stays at 8 B/point
+        x, y = below
+        n = min(cuts[1] - x, y - cuts[1])
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            first = pts[x + start:x + stop].copy()
+            pts[x + start:x + stop] = pts[y - n + start:y - n + stop]
+            pts[y - n + start:y - n + stop] = first
+        seams = [0, x + y - cuts[1], count]
+    _on_threads(lambda i: pts[seams[i]:seams[i + 1]].sort(), parts)
     return pts
 
 
@@ -283,10 +298,10 @@ def sample_realization(intensity: float, box_length: float,
 
     Count first (Poisson with mean intensity*box_length), then that many
     sorted uniforms; at 2^19 points or more the draw and the sort are split
-    over the process's CPUs, with the same points.  Only if a draw repeats or
-    lands on a box edge are the repeats merged and the edge points dropped,
-    so every interval has positive length.  A mean count above MAX_POINTS is
-    refused before anything is drawn.
+    over two of the process's CPUs, with the same points.  Only if a draw
+    repeats or lands on a box edge are the repeats merged and the edge points
+    dropped, so every interval has positive length.  A mean count above
+    MAX_POINTS is refused before anything is drawn.
     """
     if not 0 < intensity < np.inf:
         raise ValueError("intensity must be positive and finite")
@@ -296,7 +311,7 @@ def sample_realization(intensity: float, box_length: float,
     rng = seed.generator()
     count = int(rng.poisson(intensity * box_length))
     half = box_length / 2.0
-    pts = _sorted_uniforms(rng, count, half, max(1, min(len(_cpus()), count // _PART_MIN)))
+    pts = _sorted_uniforms(rng, count, half, _parts(count))
     with suppress(ValueError):  # refused only for a repeated draw or one on an edge
         return DisorderRealization(float(intensity), float(box_length), pts, seed)
     # sorted: edge draws sit at the ends and a repeat follows its first copy

@@ -19,12 +19,13 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .bounds import (PowerLogLaw, ScalingDiagnostics, ScalingSpec, VoidTrialStateError,
-                     box_count_criterion, box_masses, check_appendix_count,
-                     check_lemma21, critical_density, format_value,
+from .bounds import (MAX_BOXES, PowerLogLaw, ScalingDiagnostics, ScalingSpec,
+                     VoidTrialStateError, box_count_criterion, box_masses,
+                     check_appendix_count, check_lemma21, critical_density, format_value,
                      pule_aonghusa_bound, scaling_diagnostics, theorem33_bound,
                      trial_state_energy)
-from .disorder import EnsembleSeed, check_point_budget, realization_to_text, sample_realization
+from .disorder import (EnsembleSeed, _sample_on_one_thread, check_point_budget,
+                       realization_to_text, sample_realization)
 from .spectrum import (build_spectrum, default_cutoff, ground_mode,
                        spectrum_to_text)
 from .thermo import (THERMO_MAX_N, condensate_profile, thermo_solution_to_text)
@@ -95,8 +96,8 @@ class ExperimentConfig:
             raise ConfigError(str(err)) from None
         if not self.n_schedule:
             raise ConfigError("n_schedule must not be empty")
-        if any(int(n) != n or n < 2 for n in self.n_schedule):
-            raise ConfigError("n_schedule entries must be integers >= 2")
+        if any(not 2 <= n <= sys.float_info.max or int(n) != n for n in self.n_schedule):
+            raise ConfigError("n_schedule entries must be integers >= 2 within the float range")
         if any(b <= a for a, b in zip(self.n_schedule, self.n_schedule[1:])):
             raise ConfigError("n_schedule must be strictly increasing")
         if self.realizations_per_n < 1:
@@ -140,12 +141,13 @@ class ExperimentConfig:
             with np.errstate(over="ignore"):
                 radii = [self.hardcore_radius(n) for n in self.n_schedule]
             for n, radius in zip(self.n_schedule, radii):
-                # the check divides box coordinates by the radius; a law that
-                # underflowed would make them infinite inside the first cell
-                if not (radius > 0 and math.isfinite(n / self.density / radius)):
+                # the check lays boxes of this width over the longest interval,
+                # which is at least the mean one, about 1/intensity
+                if not radius * self.intensity * MAX_BOXES >= 1:
                     raise ConfigError(
                         f"hardcore_radius is {radius:g} at N = {n:g}; it must be "
-                        "positive with box_length / hardcore_radius finite")
+                        f"positive, with at most {MAX_BOXES:g} boxes of that width "
+                        "on the mean interval 1/intensity")
             try:
                 ceiling = critical_density(max(radii))  # refuses a law that overflowed
             except ValueError as err:
@@ -174,7 +176,10 @@ def _as_int(value) -> int:
     float, and an exponent must not build a huge integer.
     """
     if not isinstance(value, (str, float)):
-        return operator.index(value)
+        number = operator.index(value)
+        if abs(number) > sys.float_info.max:
+            raise ValueError(f"an integer of {number.bit_length()} bits is too large for a float")
+        return number
     try:
         number = Decimal(value)
     except InvalidOperation:
@@ -415,7 +420,8 @@ def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> Ensemb
         # imported here: it loads multiprocessing, socket, subprocess and
         # logging, which a serial scan never needs
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers,
+                                 initializer=_sample_on_one_thread) as pool:
             futures = {cell: pool.submit(_evaluate_cell, config, *cell)
                        for cell in cells}
             records = [futures[cell].result() for cell in cells]

@@ -119,6 +119,11 @@ def test_box_masses_validation():
     mode = EigenMode(0, 1, float(dirichlet_energy(1, 1.0)), 0.0, 1.0)
     with pytest.raises(ValueError):
         box_masses(mode, 0.0)
+    # boxes finer than the ceiling allows are refused before any is built,
+    # also where interval / width is inf
+    for width in (1e-6, 5e-324):
+        with pytest.raises(ValueError, match="at least 1e\\+06 boxes"):
+            box_masses(mode, width)
 
 
 def test_box_masses_are_nonnegative_on_sliver_boxes():

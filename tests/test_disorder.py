@@ -145,20 +145,33 @@ def _generator_after_the_count():
 
 
 @pytest.mark.parametrize("count", [7, 100_003, 2 * lslab.disorder._PART_MIN + 11])
-@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+@pytest.mark.parametrize("parts", [1, 2])
 def test_split_draw_and_sort_equal_one_uniform_draw_and_sort(count, parts):
-    # 100_003 and 2^19 + 11 are divided by none of 2, 3 and 7; the sampler
-    # splits only counts of at least 2^18 per part, so no part is empty
+    # the counts are odd, so the halves differ in size; the sampler splits
+    # only counts of at least 2^18 per part, so no part is empty
     ref = _generator_after_the_count().uniform(-7.5, 7.5, size=count)
     ref.sort()
     got = lslab.disorder._sorted_uniforms(_generator_after_the_count(), count, 7.5, parts)
     assert got.tobytes() == ref.tobytes()
 
 
+def test_split_at_zero_handles_halves_on_one_side():
+    # over these labels some 3- or 4-point halves lie wholly below or above 0,
+    # so the swap between the halves moves nothing or a whole half
+    sides = set()
+    for index in range(40):
+        rng = EnsembleSeed(5, index).generator()
+        ref = rng.uniform(-1.0, 1.0, size=7)
+        sides |= {tuple(ref[:3] < 0), tuple(ref[3:] < 0)}
+        ref.sort()
+        got = lslab.disorder._sorted_uniforms(EnsembleSeed(5, index).generator(), 7, 1.0, 2)
+        assert got.tobytes() == ref.tobytes()
+    assert {(True,) * 3, (False,) * 3, (True,) * 4, (False,) * 4} <= sides
+
+
 def test_large_box_is_sampled_in_parts_with_the_same_points(monkeypatch):
-    # 2^19 points or more are split over the CPUs; pretend there are three
-    first = lslab.disorder._cpus()[:1]
-    monkeypatch.setattr(lslab.disorder, "_cpus", lambda: first * 3)
+    # 2^19 points or more are split in two; pretend there are three CPUs
+    monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 3)
     split = []
     sorted_uniforms = lslab.disorder._sorted_uniforms
 
@@ -169,11 +182,25 @@ def test_large_box_is_sampled_in_parts_with_the_same_points(monkeypatch):
     monkeypatch.setattr(lslab.disorder, "_sorted_uniforms", record_parts)
     seed = EnsembleSeed(11, 2)
     r = sample_realization(1.0, 2.5 * 2**19, seed)
-    assert split == [3] and r.n_points >= 2 * lslab.disorder._PART_MIN
+    assert split == [2] and r.n_points >= 2 * lslab.disorder._PART_MIN
     rng = seed.generator()
     ref = rng.uniform(-2.5 * 2**18, 2.5 * 2**18, size=int(rng.poisson(2.5 * 2**19)))
     ref.sort()
     assert r.points.tobytes() == ref.tobytes()
+
+
+def test_part_count(monkeypatch):
+    part_min = lslab.disorder._PART_MIN
+    parts = lslab.disorder._parts
+    monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 8)
+    assert [parts(c) for c in (0, 2 * part_min - 1, 2 * part_min, 10**8)] == [1, 1, 2, 2]
+    monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 1)
+    assert parts(10**8) == 1
+    # a worker of a parallel scan samples on one thread, whatever its CPUs
+    monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(lslab.disorder, "_split_boxes", True)
+    lslab.disorder._sample_on_one_thread()
+    assert parts(10**8) == 1
 
 
 def test_worker_thread_errors_reach_the_caller(monkeypatch):
@@ -184,13 +211,13 @@ def test_worker_thread_errors_reach_the_caller(monkeypatch):
             failed_on.append(threading.current_thread())
             raise FloatingPointError("draw failed in a worker")
 
-    # slice 0 draws from the caller's generator; the other slices build
-    # theirs, which fail on the threads that draw them
+    # the first half draws from the caller's generator; the second half
+    # builds its own, which fails on the thread that draws it
     rng = _generator_after_the_count()
     monkeypatch.setattr(lslab.disorder, "Generator", FailingGenerator)
     with pytest.raises(FloatingPointError, match="draw failed in a worker"):
-        lslab.disorder._sorted_uniforms(rng, 10 * _BLOCK, 1.0, 3)
-    assert len(failed_on) == 2
+        lslab.disorder._sorted_uniforms(rng, 10 * _BLOCK, 1.0, 2)
+    assert len(failed_on) == 1
     assert threading.main_thread() not in failed_on
 
 

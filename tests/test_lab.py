@@ -558,11 +558,15 @@ def test_one_realization_commands_skip_the_scan_checks(tmp_path, capsys):
     (["scan", "--n-schedule", "100,1000000", "--realizations-per-n", "1",
       "--checks", "scaling", "--hardcore-radius", "1,-0.1,300"],
      "hardcore_radius is inf at N = 1e\\+06"),
-    # the radius underflows to a subnormal at N = 100, so box_length / radius is inf
+    # the radius underflows to a subnormal at N = 100
     (["scan", "--n-schedule", "100,1000000", "--realizations-per-n", "1",
       "--checks", "hardcore_bound", "--hardcore-radius", "1e-300,-10"],
-     "hardcore_radius is 9.99989e-321 at N = 100; .*finite"),
-], ids=["scan", "bounds", "scaling-overflow", "hardcore-underflow"])
+     "hardcore_radius is 9.99989e-321 at N = 100; .* 1e\\+06 boxes"),
+    # a finite radius whose boxes would split even the mean interval 10^12 times
+    (["scan", "--n-schedule", "100,1000000", "--realizations-per-n", "1",
+      "--checks", "hardcore_bound", "--hardcore-radius", "1e-12,0"],
+     "hardcore_radius is 1e-12 at N = 100; .* 1e\\+06 boxes"),
+], ids=["scan", "bounds", "scaling-overflow", "hardcore-underflow", "hardcore-tiny"])
 def test_scan_over_point_ceiling_runs_no_cell(argv, fragment, monkeypatch, tmp_path, capsys):
     def must_not_sample(*args, **kwargs):
         pytest.fail("a cell was sampled before the schedule was checked")
@@ -604,6 +608,38 @@ def test_integers_beyond_the_float_range_are_refused(argv, monkeypatch, tmp_path
         assert err.endswith("error: argument --particles: invalid _as_int value: '1e400'\n")
     assert "Traceback" not in err and "OverflowError" not in err
     assert not (tmp_path / "records.csv").exists()
+
+
+def test_python_integers_beyond_the_float_range_are_refused():
+    with pytest.raises(ConfigError, match="bad value for n_schedule: an integer of 1329 "
+                                          "bits is too large for a float"):
+        load_config(None, {"n_schedule": [10**400]})
+    # a config built directly refuses it too
+    with pytest.raises(ConfigError, match="integers >= 2 within the float range"):
+        ExperimentConfig(n_schedule=(2, 10**400))
+
+
+def test_parallel_scan_workers_sample_on_one_thread(monkeypatch):
+    import concurrent.futures
+
+    class InlinePool(concurrent.futures.Executor):
+        # runs each cell here, after the initializer run_ensemble gave it
+        def __init__(self, max_workers, initializer):
+            assert max_workers == 2
+            initializer()
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(lslab.disorder, "_split_boxes", True)
+    monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 2)
+    config = load_config(None, {"checks": "appendix", "n_schedule": "100",
+                                "realizations_per_n": "2"})
+    assert run_ensemble(config, workers=2).records == run_ensemble(config, workers=1).records
+    assert lslab.disorder._parts(10**8) == 1
 
 
 def test_failing_check_names_its_cell(monkeypatch, tmp_path, capsys):
