@@ -11,13 +11,12 @@ to its own generator through a 64-bit finalizer, so ensemble members can be
 produced in any order, in parallel, and replayed individually.
 
 A box with at least 2^19 points, in a process that may run on two CPUs or
-more, is drawn in two halves, one thread each.  Each uniform takes one
-64-bit output of the PCG64 stream, so the second half's stream is the
-generator's own, advanced to that half's first draw.  Each thread then
-moves its half's draws below 0 to the front, one swap gathers all of them
-at the front of the box, and the draws on each side of 0 are sorted on a
-thread of their own.  The points are bit for bit those of one uniform
-draw and one sort, whatever the CPU count.
+more, is drawn in two halves, the first on the calling thread and the
+second on one helper thread, from the PCG64 stream advanced to its first
+draw (each uniform takes one 64-bit output).  Each half moves its draws
+below 0 to its front, one swap gathers all of them at the front of the
+box, and the two sides of 0 are sorted side by side.  The points are bit
+for bit those of one uniform draw and one sort, whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 
 # ceiling on the mean point count intensity*box_length; sampling and the
 # checks peak at about 8 bytes per point (the points alone) plus one 512 KB
-# draw block per sampling thread, so this is under 1 GB; a spectrum adds 8
-# more per point for the interval lengths it reads
+# draw block per half of a split box, so this is under 1 GB; a spectrum adds
+# 8 more per point for the interval lengths it reads
 MAX_POINTS = 10**8
 
 # intervals at least this long can host one unit plateau plus two unit
@@ -187,11 +186,9 @@ def check_point_budget(intensity: float, box_length: float) -> None:
             f"sampling ceiling {MAX_POINTS:g}; shrink the box or the intensity")
 
 
-# a box is split in two parts at most (the split at 0 is two-way), each of at
-# least 2^18 points (2 MB), so thread start-up stays far below a part's share
-# of the draw and the sort
-_PARTS_MAX = 2
-_PART_MIN = 1 << 18
+# a box of 2^19 points or more is drawn and sorted in two halves; a half of at
+# least 2 MB keeps thread start-up far below its share of the draw and the sort
+_SPLIT_MIN = 1 << 19
 
 # a worker of a parallel scan clears this: the workers already keep the CPUs busy
 _split_boxes = True
@@ -210,85 +207,78 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _parts(count: int) -> int:
-    """How many parts a box of count points is drawn and sorted in."""
-    if not _split_boxes:
-        return 1
-    return max(1, min(_PARTS_MAX, _cpu_count(), count // _PART_MIN))
+def _split(count: int) -> bool:
+    """Whether a box of count points is drawn and sorted in two halves, one thread each."""
+    return _split_boxes and count >= _SPLIT_MIN and _cpu_count() > 1
 
 
-def _on_threads(work: Callable[[int], None], parts: int) -> None:
-    """Call work(0), ..., work(parts - 1) and re-raise the first exception any of them raised.
+def _side_by_side(first: Callable[[], object], second: Callable[[], object]) -> tuple:
+    """Return (first(), second()), first run on the calling thread and second on a new one.
 
-    One part runs on the calling thread, more parts on threads of their own.
+    The new thread has ended when this returns or raises; second's exception is raised here.
     """
-    if parts == 1:
-        work(0)
-        return
-    errors: list[BaseException] = []
+    value = error = None
 
-    def run(i: int) -> None:
+    def run() -> None:
+        nonlocal value, error
         try:
-            work(i)
-        except BaseException as err:  # handed to the caller below
-            errors.append(err)
+            value = second()
+        except BaseException as err:  # raised again in the caller below
+            error = err
 
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(parts)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        mine = first()
+    finally:
         thread.join()
-    if errors:
-        raise errors[0]
+    if error is not None:
+        raise error
+    return mine, value
 
 
-def _sorted_uniforms(rng: Generator, count: int, half: float, parts: int) -> np.ndarray:
-    """rng.uniform(-half, half, size=count), sorted, drawn and sorted in parts = 1 or 2 halves.
+def _draw_negatives_first(rng: Generator, out: np.ndarray, half: float) -> int:
+    """Draw rng.uniform(-half, half) into out in blocks; put those below 0 first, count them."""
+    negative = 0
+    for start in range(0, out.size, _BLOCK):
+        block = out[start:start + _BLOCK]
+        block[...] = rng.uniform(-half, half, size=block.size)
+        negative += int(np.count_nonzero(block < 0))
+    if 0 < negative < out.size:
+        out.partition(negative)
+    return negative
 
-    The second half draws from a copy of rng's PCG64 advanced by the half's
-    start, which is where one uniform call of the full size would be at that
-    draw, and the first half draws from rng itself.  Each half is drawn block
-    by block with uniform, so every value is numpy's own low + range*u, and
-    then partitioned at its count of draws below 0.  A swap between the
-    halves puts every draw below 0 first, and the draws on each side of 0 are
-    sorted on a thread of their own; draws are never NaN or -0.0, so that
-    equals one full sort.
+
+def _sorted_uniforms(rng: Generator, count: int, half: float, split: bool) -> np.ndarray:
+    """rng.uniform(-half, half, size=count), sorted; with split, in two halves side by side.
+
+    The first count // 2 draws come from rng and the rest from a copy of its
+    PCG64 advanced by count // 2, where one uniform call of the full size
+    would be; each is numpy's own low + range*u.  A swap between the halves
+    puts every draw below 0 first, and each side of 0 is sorted on its own
+    thread; draws are never NaN or -0.0, so that equals one full sort.
     """
+    if not split:
+        pts = rng.uniform(-half, half, size=count)
+        pts.sort()
+        return pts
+    mid = count // 2
+    bits = PCG64(0)
+    bits.state = rng.bit_generator.state
+    rest = Generator(bits.advance(mid))
     pts = np.empty(count)
-    cuts = [count * i // parts for i in range(parts + 1)]
-    streams = [rng]
-    if parts > 1:
-        bits = PCG64(0)
-        bits.state = rng.bit_generator.state
-        streams.append(Generator(bits.advance(cuts[1])))
-    below = cuts[:-1]  # where each half's draws of 0 and above start
-
-    def draw(i: int) -> None:
-        half_pts = pts[cuts[i]:cuts[i + 1]]
-        negative = 0
-        for start in range(0, half_pts.size, _BLOCK):
-            block = half_pts[start:start + _BLOCK]
-            block[...] = streams[i].uniform(-half, half, size=block.size)
-            negative += int(np.count_nonzero(block < 0))
-        if parts > 1 and 0 < negative < half_pts.size:
-            half_pts.partition(negative)
-        below[i] = cuts[i] + negative
-
-    _on_threads(draw, parts)
-    seams = [0, count]
-    if parts > 1:
-        # pts is [< 0 | >= 0 | < 0 | >= 0]: swap the shorter of the middle two
-        # runs with the same length at the far end of the other, in blocks
-        # so that the peak stays at 8 B/point
-        x, y = below
-        n = min(cuts[1] - x, y - cuts[1])
-        for start in range(0, n, _BLOCK):
-            stop = min(start + _BLOCK, n)
-            first = pts[x + start:x + stop].copy()
-            pts[x + start:x + stop] = pts[y - n + start:y - n + stop]
-            pts[y - n + start:y - n + stop] = first
-        seams = [0, x + y - cuts[1], count]
-    _on_threads(lambda i: pts[seams[i]:seams[i + 1]].sort(), parts)
+    x, y = _side_by_side(lambda: _draw_negatives_first(rng, pts[:mid], half),
+                         lambda: _draw_negatives_first(rest, pts[mid:], half))
+    # pts is [x below 0 | >= 0 | y below 0 | >= 0]: swap the shorter middle run with the far
+    # end of the other, in blocks, so that the peak stays at 8 B/point
+    n = min(mid - x, y)
+    a, b = pts[x:x + n], pts[mid + y - n:mid + y]
+    for start in range(0, n, _BLOCK):
+        stop = start + _BLOCK
+        first = a[start:stop].copy()
+        a[start:stop] = b[start:stop]
+        b[start:stop] = first
+    _side_by_side(pts[:x + y].sort, pts[x + y:].sort)
     return pts
 
 
@@ -311,7 +301,7 @@ def sample_realization(intensity: float, box_length: float,
     rng = seed.generator()
     count = int(rng.poisson(intensity * box_length))
     half = box_length / 2.0
-    pts = _sorted_uniforms(rng, count, half, _parts(count))
+    pts = _sorted_uniforms(rng, count, half, _split(count))
     with suppress(ValueError):  # refused only for a repeated draw or one on an edge
         return DisorderRealization(float(intensity), float(box_length), pts, seed)
     # sorted: edge draws sit at the ends and a repeat follows its first copy

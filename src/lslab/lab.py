@@ -651,6 +651,14 @@ def _add_config_flags(parser, keys) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     # imported here, so that `import lslab` does not load it
     import argparse
+
+    def integer(value: str) -> int:
+        # argparse words a ValueError as "invalid integer value"; this keeps the reason
+        try:
+            return _as_int(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
     parser = argparse.ArgumentParser(
         prog="lslab",
         description="Point-disorder Bose gas laboratory: sampling, spectra, "
@@ -660,7 +668,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw one disorder realization")
     _add_config_flags(p, ("intensity", "base_seed"))
     p.add_argument("--box-length", type=float, required=True)
-    p.add_argument("--index", type=_as_int, default=0, help=_INDEX_HELP)
+    p.add_argument("--index", type=integer, default=0, help=_INDEX_HELP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_sample)
 
@@ -669,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-length", type=float, required=True)
     p.add_argument("--cutoff", type=float, default=None,
                    help="energy cutoff; omit to derive it from --beta")
-    p.add_argument("--index", type=_as_int, default=0, help=_INDEX_HELP)
+    p.add_argument("--index", type=integer, default=0, help=_INDEX_HELP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
@@ -677,16 +685,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "occupancy",
         help=f"exact canonical occupations (O(N^2), capped at N={THERMO_MAX_N})")
     _add_config_flags(p, ("intensity", "density", "beta", "base_seed", "top_k"))
-    p.add_argument("--particles", type=_as_int, required=True)
-    p.add_argument("--index", type=_as_int, default=0, help=_INDEX_HELP)
+    p.add_argument("--particles", type=integer, required=True)
+    p.add_argument("--index", type=integer, default=0, help=_INDEX_HELP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_occupancy)
 
     p = sub.add_parser("bounds", help="evaluate checks on one realization")
     p.add_argument("--config", default=None, help="flat key=value config file")
     _add_config_flags(p, [k for k in _CONFIG_FIELDS if k not in _SCAN_ONLY_KEYS])
-    p.add_argument("--particles", type=_as_int, required=True)
-    p.add_argument("--index", type=_as_int, default=0, help=_INDEX_HELP)
+    p.add_argument("--particles", type=integer, required=True)
+    p.add_argument("--index", type=integer, default=0, help=_INDEX_HELP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_bounds)
 

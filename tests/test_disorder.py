@@ -3,6 +3,7 @@
 import hashlib
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -144,14 +145,14 @@ def _generator_after_the_count():
     return rng
 
 
-@pytest.mark.parametrize("count", [7, 100_003, 2 * lslab.disorder._PART_MIN + 11])
-@pytest.mark.parametrize("parts", [1, 2])
-def test_split_draw_and_sort_equal_one_uniform_draw_and_sort(count, parts):
+@pytest.mark.parametrize("count", [7, 100_003, lslab.disorder._SPLIT_MIN + 11])
+@pytest.mark.parametrize("split", [False, True], ids=["1", "2"])  # ids: pieces drawn
+def test_split_draw_and_sort_equal_one_uniform_draw_and_sort(count, split):
     # the counts are odd, so the halves differ in size; the sampler splits
-    # only counts of at least 2^18 per part, so no part is empty
+    # only counts of at least 2^19, so no half is empty
     ref = _generator_after_the_count().uniform(-7.5, 7.5, size=count)
     ref.sort()
-    got = lslab.disorder._sorted_uniforms(_generator_after_the_count(), count, 7.5, parts)
+    got = lslab.disorder._sorted_uniforms(_generator_after_the_count(), count, 7.5, split)
     assert got.tobytes() == ref.tobytes()
 
 
@@ -164,7 +165,7 @@ def test_split_at_zero_handles_halves_on_one_side():
         ref = rng.uniform(-1.0, 1.0, size=7)
         sides |= {tuple(ref[:3] < 0), tuple(ref[3:] < 0)}
         ref.sort()
-        got = lslab.disorder._sorted_uniforms(EnsembleSeed(5, index).generator(), 7, 1.0, 2)
+        got = lslab.disorder._sorted_uniforms(EnsembleSeed(5, index).generator(), 7, 1.0, True)
         assert got.tobytes() == ref.tobytes()
     assert {(True,) * 3, (False,) * 3, (True,) * 4, (False,) * 4} <= sides
 
@@ -172,35 +173,36 @@ def test_split_at_zero_handles_halves_on_one_side():
 def test_large_box_is_sampled_in_parts_with_the_same_points(monkeypatch):
     # 2^19 points or more are split in two; pretend there are three CPUs
     monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 3)
-    split = []
+    splits = []
     sorted_uniforms = lslab.disorder._sorted_uniforms
 
-    def record_parts(rng, count, half, parts):
-        split.append(parts)
-        return sorted_uniforms(rng, count, half, parts)
+    def record_split(rng, count, half, split):
+        splits.append(split)
+        return sorted_uniforms(rng, count, half, split)
 
-    monkeypatch.setattr(lslab.disorder, "_sorted_uniforms", record_parts)
+    monkeypatch.setattr(lslab.disorder, "_sorted_uniforms", record_split)
     seed = EnsembleSeed(11, 2)
     r = sample_realization(1.0, 2.5 * 2**19, seed)
-    assert split == [2] and r.n_points >= 2 * lslab.disorder._PART_MIN
+    assert splits == [True] and r.n_points >= lslab.disorder._SPLIT_MIN
     rng = seed.generator()
     ref = rng.uniform(-2.5 * 2**18, 2.5 * 2**18, size=int(rng.poisson(2.5 * 2**19)))
     ref.sort()
     assert r.points.tobytes() == ref.tobytes()
 
 
-def test_part_count(monkeypatch):
-    part_min = lslab.disorder._PART_MIN
-    parts = lslab.disorder._parts
-    monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 8)
-    assert [parts(c) for c in (0, 2 * part_min - 1, 2 * part_min, 10**8)] == [1, 1, 2, 2]
+def test_split_rule(monkeypatch):
+    split, split_min = lslab.disorder._split, lslab.disorder._SPLIT_MIN
+    monkeypatch.setattr(lslab.disorder, "_split_boxes", True)
+    for cpus in (2, 8):
+        monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda n=cpus: n)
+        got = [split(c) for c in (0, split_min - 1, split_min, 10**8)]
+        assert got == [False, False, True, True]
     monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 1)
-    assert parts(10**8) == 1
+    assert not split(10**8)
     # a worker of a parallel scan samples on one thread, whatever its CPUs
     monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 8)
-    monkeypatch.setattr(lslab.disorder, "_split_boxes", True)
     lslab.disorder._sample_on_one_thread()
-    assert parts(10**8) == 1
+    assert not split(10**8)
 
 
 def test_worker_thread_errors_reach_the_caller(monkeypatch):
@@ -216,9 +218,36 @@ def test_worker_thread_errors_reach_the_caller(monkeypatch):
     rng = _generator_after_the_count()
     monkeypatch.setattr(lslab.disorder, "Generator", FailingGenerator)
     with pytest.raises(FloatingPointError, match="draw failed in a worker"):
-        lslab.disorder._sorted_uniforms(rng, 10 * _BLOCK, 1.0, 2)
+        lslab.disorder._sorted_uniforms(rng, 10 * _BLOCK, 1.0, True)
     assert len(failed_on) == 1
     assert threading.main_thread() not in failed_on
+
+
+def test_caller_errors_reach_it_after_the_helper_thread_ends(monkeypatch):
+    failed, drawn = threading.Event(), []
+
+    class FailingGenerator(np.random.Generator):
+        def uniform(self, *args, **kwargs):
+            failed.set()
+            raise FloatingPointError("draw failed on the calling thread")
+
+    class SlowGenerator(np.random.Generator):
+        def uniform(self, *args, **kwargs):
+            # still drawing well after the calling thread's half has failed
+            failed.wait(5.0)
+            time.sleep(0.1)
+            drawn.append(threading.current_thread())
+            return super().uniform(*args, **kwargs)
+
+    # the first half draws from the caller's generator; the second half's
+    # generator, one _BLOCK of draws, is built inside the sampler
+    rng = FailingGenerator(_generator_after_the_count().bit_generator)
+    monkeypatch.setattr(lslab.disorder, "Generator", SlowGenerator)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="draw failed on the calling thread"):
+        lslab.disorder._sorted_uniforms(rng, 2 * _BLOCK, 1.0, True)
+    assert threading.active_count() == threads
+    assert len(drawn) == 1 and threading.main_thread() not in drawn
 
 
 def test_longest_interval_follows_the_gumbel_law():

@@ -473,10 +473,12 @@ def test_cli_integer_flags_parse_like_config_keys(command, tmp_path, capsys):
                  *(["--top-k", "4e0", "--base-seed", "9e0"] if occupancy else []),
                  "-o", str(exponent)]) == 0
     assert exponent.read_bytes() == plain.read_bytes()
-    with pytest.raises(SystemExit) as exit_info:
-        main([command, "--particles", "100.4"])
-    assert exit_info.value.code == 2
-    assert "--particles" in capsys.readouterr().err
+    for argv in (["--particles", "100.4"], ["--particles", "100", "--index", "100.4"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *argv])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {argv[-2]}: '100.4' is not an integer\n")
 
 
 def test_cli_scan_and_diag(tmp_path, capsys):
@@ -605,7 +607,8 @@ def test_integers_beyond_the_float_range_are_refused(argv, monkeypatch, tmp_path
             main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert err.endswith("error: argument --particles: invalid _as_int value: '1e400'\n")
+        assert err.endswith("error: argument --particles: '1e400' has too many digits "
+                            "for a float\n")
     assert "Traceback" not in err and "OverflowError" not in err
     assert not (tmp_path / "records.csv").exists()
 
@@ -639,7 +642,7 @@ def test_parallel_scan_workers_sample_on_one_thread(monkeypatch):
     config = load_config(None, {"checks": "appendix", "n_schedule": "100",
                                 "realizations_per_n": "2"})
     assert run_ensemble(config, workers=2).records == run_ensemble(config, workers=1).records
-    assert lslab.disorder._parts(10**8) == 1
+    assert not lslab.disorder._split(10**8)
 
 
 def test_failing_check_names_its_cell(monkeypatch, tmp_path, capsys):
