@@ -82,43 +82,28 @@ def check_lemma21(realization: DisorderRealization, epsilon: float = 0.5,
 # box decompositions and the two condensate bounds
 
 
-def _mode_mass_between(mode: EigenMode, a: float, b: float) -> float:
-    """Integral of |phi|^2 over [a, b] clipped to the mode's interval.
-
-    Antiderivative of (2/l) sin^2(n pi u / l) is u/l - sin(2 n pi u/l)/(2 n pi).
-    """
-    l = mode.interval_length
-    two_n_pi = 2.0 * math.pi * mode.mode_number
-    u0 = min(max(a - mode.interval_left, 0.0), l)
-    u1 = min(max(b - mode.interval_left, 0.0), l)
-    if u1 <= u0:
-        return 0.0
-
-    def anti(u: float) -> float:
-        return u / l - math.sin(two_n_pi * u / l) / two_n_pi
-
-    return anti(u1) - anti(u0)
-
-
 # ceiling on the boxes box_masses lays over one interval; each costs a tuple
-# of about 120 bytes and 2 us, so the ceiling is about 120 MB and 2 s
+# of about 120 bytes plus 40 in arrays at the peak, and 0.17 us, so the
+# ceiling is about 160 MB and 0.2 s
 MAX_BOXES = 10**6
 
 
 def box_masses(mode: EigenMode, box_length: float) -> list[tuple[int, float]]:
     """Per-box masses of an eigenmode on the grid of boxes [a n, a (n+1)), n integer.
 
-    The masses are closed-form integrals of |phi|^2.  Returns (box_index,
-    mass) for every box meeting the mode's interval; the masses sum to 1.
-    An interval that would span MAX_BOXES boxes or more is refused.
+    The masses are closed-form integrals of |phi|^2: the antiderivative of
+    (2/l) sin^2(n pi u / l) is u/l - sin(2 n pi u/l)/(2 n pi).  Returns
+    (box_index, mass) for every box meeting the mode's interval; the masses
+    sum to 1.  An interval that would span MAX_BOXES boxes or more is
+    refused.
     """
     a = float(box_length)
     if a <= 0:
         raise ValueError("box_length must be positive")
-    lo = mode.interval_left
-    hi = lo + mode.interval_length
-    if not mode.interval_length / a < MAX_BOXES:
-        raise ValueError(f"an interval of length {mode.interval_length:g} spans at "
+    lo, l = mode.interval_left, mode.interval_length
+    hi = lo + l
+    if not l / a < MAX_BOXES:
+        raise ValueError(f"an interval of length {l:g} spans at "
                          f"least {MAX_BOXES:g} boxes of length {a:g}")
     first = math.floor(lo / a)
     last = math.floor(hi / a)
@@ -126,11 +111,16 @@ def box_masses(mode: EigenMode, box_length: float) -> list[tuple[int, float]]:
     # edge contributes nothing to the box that starts there
     if last > first and last * a >= hi:
         last -= 1
-    masses = []
-    for n in range(first, last + 1):
-        m = _mode_mass_between(mode, max(n * a, lo), min((n + 1) * a, hi))
-        masses.append((n, max(m, 0.0)))
-    return masses
+    edges = np.arange(first, last + 2) * a
+    edges[0], edges[-1] = max(edges[0], lo), min(edges[-1], hi)
+    # the edges lie in [lo, hi], so u >= 0; hi - lo can round past l
+    u = np.minimum(edges - lo, l)
+    two_n_pi = 2.0 * math.pi * mode.mode_number
+    anti = u / l - np.sin(two_n_pi * u / l) / two_n_pi
+    masses = anti[1:] - anti[:-1]
+    # an empty box, or one whose difference rounds below 0, has mass 0.0
+    masses[(u[1:] <= u[:-1]) | (masses < 0)] = 0.0
+    return list(zip(range(first, last + 1), masses.tolist()))
 
 
 def pule_aonghusa_bound(box_masses: list[tuple[int, float]],

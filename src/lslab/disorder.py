@@ -10,13 +10,22 @@ Streams are counter-based: every (base_seed, realization_index) pair maps
 to its own generator through a 64-bit finalizer, so ensemble members can be
 produced in any order, in parallel, and replayed individually.
 
+Every box is drawn in place, block by block: rng.random fills a block of
+the points array and two in-place ufuncs turn u into -half + (2 half) u,
+numpy's own uniform formula with the same two roundings and one 64-bit
+output per draw, so no temporary array is made.  Written as two separate
+roundings, the draw does not depend on whether a numpy build fuses the
+multiply-add inside Generator.uniform.
+
 A box with at least 2^19 points, in a process that may run on two CPUs or
 more, is drawn in two halves, the first on the calling thread and the
 second on one helper thread, from the PCG64 stream advanced to its first
-draw (each uniform takes one 64-bit output).  Each half moves its draws
-below 0 to its front, one swap gathers all of them at the front of the
-box, and the two sides of 0 are sorted side by side.  The points are bit
-for bit those of one uniform draw and one sort, whatever the CPU count.
+draw.  Each half moves its draws below 0 to its front, one swap gathers all
+of them at the front of the box, and the two sides of 0 are sorted side by
+side.  The pass that validates the points then streams the two halves of
+the intervals side by side.  The points and their statistics are bit for
+bit those of one uniform draw, one sort and one pass, whatever the CPU
+count.
 """
 
 from __future__ import annotations
@@ -46,8 +55,8 @@ _GOLDEN64 = 0x9E3779B97F4A7C15
 
 # ceiling on the mean point count intensity*box_length; sampling and the
 # checks peak at about 8 bytes per point (the points alone) plus one 512 KB
-# draw block per half of a split box, so this is under 1 GB; a spectrum adds
-# 8 more per point for the interval lengths it reads
+# length block per half of the validating pass, so this is under 1 GB; a
+# spectrum adds 8 more per point for the interval lengths it reads
 MAX_POINTS = 10**8
 
 # intervals at least this long can host one unit plateau plus two unit
@@ -115,15 +124,17 @@ class DisorderRealization:
             raise ValueError("intensity and box_length must be positive and finite")
         if self.points.ndim != 1:
             raise ValueError("points must be a 1-d array")
-        best, index, count = -np.inf, 0, 0
-        for start, block in _length_blocks(self):
-            # min() > 0 exactly when the points increase strictly inside the box; NaN fails
-            if not block.min() > 0:
-                raise ValueError("points must be strictly increasing inside the open box")
-            # only a strictly longer block maximum replaces the best, so the first index wins
-            if (top := block.max()) > best:
-                best, index = top, start + int((block == top).argmax())
-            count += int(np.count_nonzero(block >= LONG_INTERVAL))
+        n = self.points.size
+        if _split(n):
+            (best, index, count), (top, at, more) = _side_by_side(
+                lambda: _statistics(self, 0, n // 2),
+                lambda: _statistics(self, n // 2, n + 1))
+            # a tie goes to the first half, so the first index still wins
+            if top > best:
+                best, index = top, at
+            count += more
+        else:
+            best, index, count = _statistics(self, 0, n + 1)
         object.__setattr__(self, "l_max", float(best))
         object.__setattr__(self, "l_max_index", index)
         object.__setattr__(self, "long_count", count)
@@ -142,7 +153,7 @@ class DisorderRealization:
     def interval_lengths(self) -> np.ndarray:
         """All n_points + 1 interval lengths, read-only, built on first access."""
         lengths = np.empty(self.n_intervals)
-        for start, block in _length_blocks(self):
+        for start, block in _length_blocks(self, 0, self.n_intervals):
             lengths[start:start + block.size] = block
         lengths.setflags(write=False)
         return lengths
@@ -153,8 +164,9 @@ class DisorderRealization:
 _BLOCK = 1 << 16
 
 
-def _length_blocks(realization: DisorderRealization) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first interval index, lengths) block by block.
+def _length_blocks(realization: DisorderRealization, first: int,
+                   last: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first interval index, lengths) block by block for intervals first..last - 1.
 
     The values are np.diff over [-half, *points, half], written piecewise
     into one scratch buffer that every block reuses, so a block must be read
@@ -165,9 +177,9 @@ def _length_blocks(realization: DisorderRealization) -> Iterator[tuple[int, np.n
     if not n:
         yield 0, np.array([half + half])
         return
-    buf = np.empty(min(n + 1, _BLOCK))
-    for start in range(0, n + 1, _BLOCK):
-        stop = min(start + _BLOCK, n + 1)
+    buf = np.empty(min(last - first, _BLOCK))
+    for start in range(first, last, _BLOCK):
+        stop = min(start + _BLOCK, last)
         block = buf[:stop - start]
         lo, hi = max(start, 1), min(stop, n)  # the interior lengths pts[i] - pts[i-1]
         np.subtract(pts[lo:hi], pts[lo - 1:hi - 1], out=block[lo - start:hi - start])
@@ -176,6 +188,23 @@ def _length_blocks(realization: DisorderRealization) -> Iterator[tuple[int, np.n
         if stop == n + 1:
             block[-1] = half - pts[-1]
         yield start, block
+
+
+def _statistics(realization: DisorderRealization, first: int, last: int) -> tuple[float, int, int]:
+    """(longest length, its first index, #{length >= LONG_INTERVAL}) over intervals first..last - 1.
+
+    Raises ValueError unless every one of those lengths is positive.
+    """
+    best, index, count = -np.inf, first, 0
+    for start, block in _length_blocks(realization, first, last):
+        # min() > 0 exactly when the points increase strictly inside the box; NaN fails
+        if not block.min() > 0:
+            raise ValueError("points must be strictly increasing inside the open box")
+        # only a strictly longer block maximum replaces the best, so the first index wins
+        if (top := block.max()) > best:
+            best, index = top, start + int((block == top).argmax())
+        count += int(np.count_nonzero(block >= LONG_INTERVAL))
+    return best, index, count
 
 
 def check_point_budget(intensity: float, box_length: float) -> None:
@@ -208,7 +237,7 @@ def _cpu_count() -> int:
 
 
 def _split(count: int) -> bool:
-    """Whether a box of count points is drawn and sorted in two halves, one thread each."""
+    """Whether a box of count points is drawn, sorted and validated in two halves on two threads."""
     return _split_boxes and count >= _SPLIT_MIN and _cpu_count() > 1
 
 
@@ -237,36 +266,48 @@ def _side_by_side(first: Callable[[], object], second: Callable[[], object]) -> 
     return mine, value
 
 
-def _draw_negatives_first(rng: Generator, out: np.ndarray, half: float) -> int:
-    """Draw rng.uniform(-half, half) into out in blocks; put those below 0 first, count them."""
+def _draw(rng: Generator, out: np.ndarray, half: float) -> int:
+    """Fill out in place with rng's uniform(-half, half) draws, block by block; count those < 0.
+
+    Each value is numpy's own low + range*u, rounded after the product and
+    after the sum, from one 64-bit output of rng.
+    """
     negative = 0
     for start in range(0, out.size, _BLOCK):
         block = out[start:start + _BLOCK]
-        block[...] = rng.uniform(-half, half, size=block.size)
+        rng.random(out=block)
+        np.multiply(block, half - (-half), out=block)
+        np.add(block, -half, out=block)
         negative += int(np.count_nonzero(block < 0))
+    return negative
+
+
+def _draw_negatives_first(rng: Generator, out: np.ndarray, half: float) -> int:
+    """_draw into out, then put the draws below 0 first; count them."""
+    negative = _draw(rng, out, half)
     if 0 < negative < out.size:
         out.partition(negative)
     return negative
 
 
 def _sorted_uniforms(rng: Generator, count: int, half: float, split: bool) -> np.ndarray:
-    """rng.uniform(-half, half, size=count), sorted; with split, in two halves side by side.
+    """The draws of rng's uniform(-half, half, size=count), sorted; with split, in two halves.
 
     The first count // 2 draws come from rng and the rest from a copy of its
-    PCG64 advanced by count // 2, where one uniform call of the full size
-    would be; each is numpy's own low + range*u.  A swap between the halves
-    puts every draw below 0 first, and each side of 0 is sorted on its own
-    thread; draws are never NaN or -0.0, so that equals one full sort.
+    PCG64 advanced by count // 2, where one draw of the full size would be.
+    A swap between the halves puts every draw below 0 first, and each side
+    of 0 is sorted on its own thread; draws are never NaN or -0.0, so that
+    equals one full sort.
     """
+    pts = np.empty(count)
     if not split:
-        pts = rng.uniform(-half, half, size=count)
+        _draw(rng, pts, half)
         pts.sort()
         return pts
     mid = count // 2
     bits = PCG64(0)
     bits.state = rng.bit_generator.state
     rest = Generator(bits.advance(mid))
-    pts = np.empty(count)
     x, y = _side_by_side(lambda: _draw_negatives_first(rng, pts[:mid], half),
                          lambda: _draw_negatives_first(rest, pts[mid:], half))
     # pts is [x below 0 | >= 0 | y below 0 | >= 0]: swap the shorter middle run with the far
@@ -287,8 +328,9 @@ def sample_realization(intensity: float, box_length: float,
     """Draw one realization at the given intensity on a box of this length.
 
     Count first (Poisson with mean intensity*box_length), then that many
-    sorted uniforms; at 2^19 points or more the draw and the sort are split
-    over two of the process's CPUs, with the same points.  Only if a draw
+    sorted uniforms; at 2^19 points or more the draw, the sort and the
+    validating pass are split over two of the process's CPUs, with the same
+    points and statistics.  Only if a draw
     repeats or lands on a box edge are the repeats merged and the edge points
     dropped, so every interval has positive length.  A mean count above
     MAX_POINTS is refused before anything is drawn.

@@ -109,27 +109,28 @@ def test_repeated_and_edge_draws_are_merged(monkeypatch):
             sizes.clear()
             return len(draws)
 
-        def uniform(self, low, high, size):
-            # the sampler draws in blocks; hand the draws out in order
-            assert (low, high) == (-5.0, 5.0)
+        def random(self, out):
+            # the sampler draws in blocks of u in place and makes -5 + 10 u of
+            # them; hand the u of the draws out in order (u = 1 is the +5 edge)
             start = sum(sizes)
-            sizes.append(size)
-            return np.array(draws[start:start + size])
+            sizes.append(out.size)
+            out[:] = (np.asarray(draws[start:start + out.size]) + 5.0) / 10.0
 
     monkeypatch.setattr(EnsembleSeed, "generator", lambda self: Stub())
-    # a repeated draw and draws exactly on both box edges (half = 5)
-    draws[:] = [1.0, -5.0, 3.0, 1.0, -2.0, 5.0, 3.0, 4.5]
+    # a repeated draw and draws exactly on both box edges (half = 5); every
+    # draw is -5 + 10 u for a dyadic u, so u and the draw are exact
+    draws[:] = [0.0, -5.0, 1.875, 0.0, -2.5, 5.0, 1.875, 3.75]
     r = sample_realization(1.0, 10.0, EnsembleSeed(0, 0))
     assert sum(sizes) == len(draws)
-    np.testing.assert_array_equal(r.points, [-2.0, 1.0, 3.0, 4.5])
+    np.testing.assert_array_equal(r.points, [-2.5, 0.0, 1.875, 3.75])
     # the refused first attempt saw the unmerged draws; the statistics are the merged ones
-    _assert_statistics_match(r, np.array([3.0, 3.0, 2.0, 1.5, 0.5]))
+    _assert_statistics_match(r, np.array([2.5, 2.5, 1.875, 1.875, 1.25]))
     assert r.interval_lengths.sum() == 10.0
 
     # once the edge draws are cut off, draw _BLOCK repeats draw _BLOCK - 1,
     # so the repeat straddles the merge's first block seam; the last draw
     # comes three times
-    first = np.linspace(-4.9, 4.9, _BLOCK + 2)
+    first = -5.0 + 10.0 * (15.0 * np.arange(_BLOCK + 2) + 8.0) / 2**20
     draws[:] = [5.0, *first[::-1], first[_BLOCK - 1], -5.0, first[-1], -5.0, first[-1]]
     r = sample_realization(1.0, 10.0, EnsembleSeed(0, 0))
     assert sum(sizes) == len(draws)
@@ -154,6 +155,19 @@ def test_split_draw_and_sort_equal_one_uniform_draw_and_sort(count, split):
     ref.sort()
     got = lslab.disorder._sorted_uniforms(_generator_after_the_count(), count, 7.5, split)
     assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("box_length", [1e7 / 0.6, 3.3])
+def test_draw_in_place_equals_uniform(size, box_length):
+    # the in-place draw rounds the product and the sum apart, as numpy's
+    # uniform does; a numpy build whose uniform fused them would fail here
+    half = box_length / 2.0
+    ref = _generator_after_the_count().uniform(-half, half, size)
+    out = np.empty(size)
+    negative = lslab.disorder._draw(_generator_after_the_count(), out, half)
+    assert out.tobytes() == ref.tobytes()
+    assert negative == np.count_nonzero(ref < 0)
 
 
 def test_split_at_zero_handles_halves_on_one_side():
@@ -209,7 +223,7 @@ def test_worker_thread_errors_reach_the_caller(monkeypatch):
     failed_on = []
 
     class FailingGenerator(np.random.Generator):
-        def uniform(self, *args, **kwargs):
+        def random(self, *args, **kwargs):
             failed_on.append(threading.current_thread())
             raise FloatingPointError("draw failed in a worker")
 
@@ -227,17 +241,17 @@ def test_caller_errors_reach_it_after_the_helper_thread_ends(monkeypatch):
     failed, drawn = threading.Event(), []
 
     class FailingGenerator(np.random.Generator):
-        def uniform(self, *args, **kwargs):
+        def random(self, *args, **kwargs):
             failed.set()
             raise FloatingPointError("draw failed on the calling thread")
 
     class SlowGenerator(np.random.Generator):
-        def uniform(self, *args, **kwargs):
+        def random(self, *args, **kwargs):
             # still drawing well after the calling thread's half has failed
             failed.wait(5.0)
             time.sleep(0.1)
             drawn.append(threading.current_thread())
-            return super().uniform(*args, **kwargs)
+            return super().random(*args, **kwargs)
 
     # the first half draws from the caller's generator; the second half's
     # generator, one _BLOCK of draws, is built inside the sampler
@@ -440,6 +454,60 @@ def test_non_increasing_pair_at_a_seam_is_refused(at, fault):
     pts[at] = pts[at - 1] if fault == "repeat" else pts[at - 1] - 0.25
     with pytest.raises(ValueError, match="strictly increasing"):
         DisorderRealization(1.0, r.box_length, pts, EnsembleSeed(0, 0))
+
+
+# odd, so the validating pass streams intervals [0, n // 2) on the calling
+# thread and the one more [n // 2, n] on the helper
+_SPLIT_N = lslab.disorder._SPLIT_MIN + 5
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(lslab.disorder, "_split_boxes", True)
+    monkeypatch.setattr(lslab.disorder, "_cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("longest_at", [(_SPLIT_N // 2 - 1, _SPLIT_N // 2), (1, _SPLIT_N)],
+                         ids=["at-the-seam", "far-apart"])
+def test_split_pass_gives_a_tie_across_the_halves_to_the_first_index(two_cpus, longest_at):
+    expected = _seam_lengths(_SPLIT_N, longest_at)
+    r = _from_lengths(expected)
+    assert r.l_max_index == longest_at[0]
+    _assert_statistics_match(r, expected)
+
+
+@pytest.mark.parametrize("fault", ["seam", "last-point", "right-edge"])
+def test_split_pass_refuses_a_fault_in_the_second_half(two_cpus, fault):
+    r = _from_lengths(_seam_lengths(_SPLIT_N, ()))
+    pts, mid = r.points.copy(), _SPLIT_N // 2
+    if fault == "right-edge":
+        pts[-1] = r.box_length / 2.0
+    else:
+        at = mid if fault == "seam" else _SPLIT_N - 1  # interval `at` is pts[at] - pts[at - 1]
+        pts[at] = pts[at - 1]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DisorderRealization(1.0, r.box_length, pts, EnsembleSeed(0, 0))
+
+
+def test_split_pass_streams_every_interval_once(two_cpus, monkeypatch):
+    seen, stream = [], lslab.disorder._length_blocks
+
+    def recorded(realization, first, last):
+        for start, block in stream(realization, first, last):
+            seen.append((start, start + block.size, threading.current_thread()))
+            yield start, block
+
+    monkeypatch.setattr(lslab.disorder, "_length_blocks", recorded)
+    _from_lengths(_seam_lengths(_SPLIT_N, ()))
+    seen.sort(key=lambda block: block[0])
+    assert [start for start, _, _ in seen] == [0, *(stop for _, stop, _ in seen[:-1])]
+    assert seen[-1][1] == _SPLIT_N + 1
+    # intervals [0, n // 2) on the calling thread, the rest on one helper
+    mid = _SPLIT_N // 2
+    assert all(thread is threading.main_thread() for _, stop, thread in seen if stop <= mid)
+    helpers = {thread for start, _, thread in seen if start >= mid}
+    assert len(helpers) == 1 and threading.main_thread() not in helpers
+    assert all(stop <= mid or start >= mid for start, stop, _ in seen)
 
 
 @pytest.mark.parametrize("pts", [

@@ -683,9 +683,9 @@ def test_bound_checks_reuse_the_validating_pass(monkeypatch):
     calls = []
     stream = lslab.disorder._length_blocks
 
-    def counted(realization):
+    def counted(realization, first, last):
         calls.append(realization)
-        return stream(realization)
+        return stream(realization, first, last)
 
     monkeypatch.setattr(lslab.disorder, "_length_blocks", counted)
     config = load_config(None)
