@@ -13,8 +13,7 @@ from .spectrum import (EigenMode, EmptySpectrumError, Spectrum, build_spectrum,
                        ground_mode, ground_state_energy, spectrum_to_text,
                        weyl_mode_count)
 from .thermo import (THERMO_MAX_N, CutoffConvergenceWarning, ThermoSolution,
-                     boltzmann_sums, canonical_occupation, canonical_occupations,
-                     canonical_partition, condensate_profile,
+                     boltzmann_sums, canonical_partition, condensate_profile,
                      estimate_saturation_density, saturation_density,
                      thermo_solution_to_text)
 from .bounds import (PowerLogLaw, ScalingDiagnostics, ScalingSpec, TrialStateEnergy,

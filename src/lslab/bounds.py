@@ -82,18 +82,19 @@ def check_lemma21(realization: DisorderRealization, epsilon: float = 0.5,
 # box decompositions and the two condensate bounds
 
 
-# ceiling on the boxes box_masses lays over one interval; each costs a tuple
-# of about 120 bytes plus 40 in arrays at the peak, and 0.17 us, so the
-# ceiling is about 160 MB and 0.2 s
+# ceiling on the boxes box_masses lays over one interval; each costs 40
+# bytes of arrays at the peak (8 in the result) and 0.02 us, so the ceiling
+# is about 40 MB and 0.02 s
 MAX_BOXES = 10**6
 
 
-def box_masses(mode: EigenMode, box_length: float) -> list[tuple[int, float]]:
+def box_masses(mode: EigenMode, box_length: float) -> np.ndarray:
     """Per-box masses of an eigenmode on the grid of boxes [a n, a (n+1)), n integer.
 
     The masses are closed-form integrals of |phi|^2: the antiderivative of
-    (2/l) sin^2(n pi u / l) is u/l - sin(2 n pi u/l)/(2 n pi).  Returns
-    (box_index, mass) for every box meeting the mode's interval; the masses
+    (2/l) sin^2(n pi u / l) is u/l - sin(2 n pi u/l)/(2 n pi).  Returns one
+    float array over the boxes that meet the mode's interval, in order:
+    masses[i] is the mass of box floor(interval_left / a) + i.  The masses
     sum to 1.  An interval that would span MAX_BOXES boxes or more is
     refused.
     """
@@ -120,15 +121,16 @@ def box_masses(mode: EigenMode, box_length: float) -> list[tuple[int, float]]:
     masses = anti[1:] - anti[:-1]
     # an empty box, or one whose difference rounds below 0, has mass 0.0
     masses[(u[1:] <= u[:-1]) | (masses < 0)] = 0.0
-    return list(zip(range(first, last + 1), masses.tolist()))
+    return masses
 
 
-def pule_aonghusa_bound(box_masses: list[tuple[int, float]],
-                        box_total_length: float) -> float:
-    """Occupation-density bound (1/L) (sum_n sqrt(m_n))^2 from per-box masses."""
+def pule_aonghusa_bound(box_masses: np.ndarray, box_total_length: float) -> float:
+    """Occupation-density bound (1/L) (sum_n sqrt(m_n))^2 from one array of box masses."""
     if not 0 < box_total_length < math.inf:
         raise ValueError("box_total_length must be positive and finite")
-    m = np.asarray([mass for _, mass in box_masses], dtype=float)
+    m = np.asarray(box_masses, dtype=float)
+    if m.ndim != 1:
+        raise ValueError("box masses must be one array of masses")
     if m.size == 0:
         raise ValueError("no box masses given")
     if not np.all(m >= -1e-12):

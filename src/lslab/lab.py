@@ -300,7 +300,7 @@ def _eval_thermo(config, n, realization):
 def _eval_hardcore(config, n, realization):
     radius = config.hardcore_radius(n)
     masses = box_masses(ground_mode(realization), radius)
-    support = sum(1 for _, m in masses if m > 0.0)
+    support = np.count_nonzero(masses > 0.0)
     pa = pule_aonghusa_bound(masses, realization.box_length)
     t33 = theorem33_bound(config.lemma21_alpha, config.intensity,
                           realization.box_length, radius)
@@ -726,7 +726,3 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -28,6 +28,9 @@ otherwise keep the recursion going to N.  The cost is O(m*^2 + g N) plus
 the sums; where the excited levels never saturate, m* = N and the cost is
 the full O(N^2), so THERMO_MAX_N still marks the desk-scale ceiling.  The
 result is exact for the canonical ensemble at fixed particle number.
+condensate_profile is the one entry point for occupations: it evaluates
+<n_j> for the lowest top_k modes (top_k = the mode count gives them all)
+and the total over every mode through the power-sum identity.
 saturation_density gives the density the excited modes hold when the
 chemical potential is pushed to the band edge, which is the natural
 empirical estimate of where condensation sets in.
@@ -51,8 +54,6 @@ __all__ = [
     "ThermoSolution",
     "boltzmann_sums",
     "canonical_partition",
-    "canonical_occupation",
-    "canonical_occupations",
     "condensate_profile",
     "saturation_density",
     "estimate_saturation_density",
@@ -354,35 +355,6 @@ def canonical_partition(spectrum: Spectrum, beta: float, particle_number: int) -
     return _solve(spectrum, beta, particle_number)[3]
 
 
-def _occupation_single(delta_j: float, beta: float, log_z: np.ndarray) -> float:
-    n = len(log_z) - 1
-    k = np.arange(1, n + 1, dtype=float)
-    exponents = -(k * beta) * delta_j + (log_z[n - 1::-1] - log_z[n])
-    return float(np.exp(exponents).sum())
-
-
-def canonical_occupation(spectrum: Spectrum, beta: float, particle_number: int,
-                         mode_index: int) -> float:
-    """Expected occupation <n_j> of one mode in the canonical ensemble."""
-    if not 0 <= mode_index < len(spectrum):
-        raise ValueError("mode_index out of range")
-    log_z = _solve(spectrum, beta, particle_number)[3]
-    delta_j = float(spectrum.energies[mode_index] - spectrum.energies[0])
-    return _occupation_single(delta_j, beta, log_z)
-
-
-def canonical_occupations(spectrum: Spectrum, beta: float, particle_number: int) -> np.ndarray:
-    """All mode occupations at once (k-loop over the shifted spectrum)."""
-    n, _, _, log_z, _ = _solve(spectrum, beta, particle_number)
-    delta = spectrum.energies - spectrum.energies[0]
-    ratios = np.exp(log_z[n - 1::-1] - log_z[n])
-    occ = np.zeros(len(spectrum))
-    for k in range(1, n + 1):
-        hi = int(np.searchsorted(delta, -_EXP_FLOOR / (k * beta), side="right"))
-        occ[:hi] += ratios[k - 1] * np.exp(-(k * beta) * delta[:hi])
-    return occ
-
-
 def condensate_profile(spectrum: Spectrum, beta: float, particle_number: int,
                        top_k: int) -> ThermoSolution:
     """Occupations of the lowest top_k modes plus an aggregated tail.
@@ -401,11 +373,12 @@ def condensate_profile(spectrum: Spectrum, beta: float, particle_number: int,
     if not 1 <= top_k <= len(spectrum):
         raise ValueError("top_k must lie in 1..n_modes")
     n, converged, sums, log_z, _ = _solve(spectrum, beta, particle_number)
-    delta = spectrum.energies - spectrum.energies[0]
-    occ = np.array([_occupation_single(float(delta[j]), beta, log_z)
-                    for j in range(top_k)])
-    ratios = np.exp(log_z[n - 1::-1] - log_z[n])
-    total = _dot(sums, ratios)
+    delta = spectrum.energies[:top_k] - spectrum.energies[0]
+    # <n_j> = sum_k exp(-k beta delta_j + ln Z_{N-k} - ln Z_N), k = 1..N
+    k_beta = beta * np.arange(1, n + 1, dtype=float)
+    tail = log_z[n - 1::-1] - log_z[n]
+    occ = np.array([np.exp(-k_beta * d + tail).sum() for d in delta.tolist()])
+    total = _dot(sums, np.exp(tail))
     if not abs(total - n) <= 1e-8 * n:
         raise RuntimeError(f"occupation total drifted to {total!r} for N={n}")
     return ThermoSolution(

@@ -26,12 +26,7 @@ from lslab.bounds import (
 from lslab.disorder import EnsembleSeed, sample_realization
 from lslab.lab import main
 from lslab.spectrum import build_spectrum, default_cutoff, ground_mode
-from lslab.thermo import (
-    canonical_occupation,
-    canonical_occupations,
-    canonical_partition,
-    estimate_saturation_density,
-)
+from lslab.thermo import condensate_profile, estimate_saturation_density
 
 from conftest import enumerate_bose, make_realization, toy_spectrum
 
@@ -57,8 +52,9 @@ def test_criterion_1_canonical_oracle_equivalence():
         n = int(rng.integers(1, 7))
         s = toy_spectrum(energies)
         z_oracle, occ_oracle = enumerate_bose(energies, beta, n)
-        z = math.exp(canonical_partition(s, beta, n)[n])
-        occ = canonical_occupations(s, beta, n)
+        sol = condensate_profile(s, beta, n, len(s))
+        z = math.exp(sol.log_partitions[n])
+        occ = sol.occupations
         worst_z = max(worst_z, abs(z - z_oracle))
         worst_occ = max(worst_occ, float(np.max(np.abs(occ - occ_oracle))))
     elapsed = time.perf_counter() - t0
@@ -73,7 +69,7 @@ def test_criterion_2_conservation_at_scale():
     r = sample_realization(1.0, 1e4, EnsembleSeed(2026, 0))
     spec = build_spectrum(r, default_cutoff(r, 1.0))
     n = 1000
-    occ = canonical_occupations(spec, 1.0, n)
+    occ = condensate_profile(spec, 1.0, n, len(spec)).occupations
     err = abs(float(occ.sum()) - n)
     elapsed = time.perf_counter() - t0
     ok = len(spec) >= 10_000 and err <= 1e-8 * n
@@ -184,7 +180,7 @@ def test_criterion_7_condensate_density_trend():
             box = n / rho
             r = sample_realization(1.0, box, EnsembleSeed(2026, i))
             spec = build_spectrum(r, default_cutoff(r, 1.0))
-            vals.append(canonical_occupation(spec, 1.0, n, 0) / box)
+            vals.append(condensate_profile(spec, 1.0, n, 1).occupations[0] / box)
         medians.append(float(np.median(vals)))
     elapsed = time.perf_counter() - t0
     ok = all(m > 0 for m in medians) and medians[2] >= 0.5 * medians[0]

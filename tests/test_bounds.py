@@ -91,18 +91,18 @@ def test_lemma21_pass_fraction_grows_with_box():
 def test_box_masses_symmetric_split():
     mode = EigenMode(0, 1, float(dirichlet_energy(1, 1.0)), 0.0, 1.0)
     masses = box_masses(mode, 0.5)
-    assert [n for n, _ in masses] == [0, 1]
-    np.testing.assert_allclose([m for _, m in masses], [0.5, 0.5], atol=1e-12)
+    assert masses.shape == (2,)  # boxes 0 and 1
+    np.testing.assert_allclose(masses, [0.5, 0.5], atol=1e-12)
 
 
 def test_box_masses_match_quadrature():
     mode = EigenMode(0, 1, float(dirichlet_energy(1, 1.4)), 0.3, 1.4)
     masses = box_masses(mode, 0.5)
-    assert [n for n, _ in masses] == [0, 1, 2, 3]
-    assert abs(sum(m for _, m in masses) - 1.0) < 1e-12
+    assert masses.shape == (4,)  # boxes 0..3
+    assert abs(masses.sum() - 1.0) < 1e-12
     # |phi|^2 = (2/l) sin^2(n pi (x - left)/l) on the mode's interval
     density = lambda x: 2.0 / 1.4 * math.sin(math.pi * (x - 0.3) / 1.4) ** 2
-    for n, m in masses:
+    for n, m in enumerate(masses.tolist()):
         lo, hi = max(0.5 * n, 0.3), min(0.5 * (n + 1), 1.7)
         oracle, _ = integrate.quad(density, lo, hi)
         assert abs(m - oracle) < 1e-9
@@ -111,8 +111,16 @@ def test_box_masses_match_quadrature():
 def test_box_masses_negative_coordinates():
     mode = EigenMode(3, 2, float(dirichlet_energy(2, 1.4)), -3.2, 1.4)
     masses = box_masses(mode, 0.5)
-    assert masses[0][0] == math.floor(-3.2 / 0.5)
-    assert abs(sum(m for _, m in masses) - 1.0) < 1e-12
+    assert masses.shape == (4,)  # boxes -7..-4
+    assert abs(masses.sum() - 1.0) < 1e-12
+    # masses[0] is box floor(-3.2 / 0.5) = -7, [-3.5, -3.0), which holds
+    # [-3.2, -3.0) of the interval
+    density = lambda x: 2.0 / 1.4 * math.sin(2.0 * math.pi * (x + 3.2) / 1.4) ** 2
+    for i, m in enumerate(masses.tolist()):
+        n = math.floor(-3.2 / 0.5) + i
+        lo, hi = max(0.5 * n, -3.2), min(0.5 * (n + 1), -1.8)
+        oracle, _ = integrate.quad(density, lo, hi)
+        assert abs(m - oracle) < 1e-9
 
 
 def test_box_masses_validation():
@@ -137,7 +145,7 @@ def test_box_masses_are_nonnegative_on_sliver_boxes():
             for _ in range(3):
                 length = math.nextafter(length, math.inf)
                 mode = EigenMode(0, n, float(dirichlet_energy(n, length)), 0.0, length)
-                masses += [m for _, m in box_masses(mode, 1.0)]
+                masses += box_masses(mode, 1.0).tolist()
     assert min(masses) >= 0.0
 
 
@@ -179,33 +187,40 @@ def test_box_masses_equal_the_box_by_box_form_bit_for_bit():
     assert 0.1 + 0.2 - 0.1 > 0.2
     for mode, a in _box_mass_cases():
         got = box_masses(mode, a)
-        assert all(type(n) is int and type(m) is float for n, m in got)
+        assert got.dtype == np.float64 and got.ndim == 1
+        first = math.floor(mode.interval_left / a)
         ref = _box_masses_loop(mode, a)
-        assert [(n, m.hex()) for n, m in got] == [(n, m.hex()) for n, m in ref]
+        assert [(first + i, m.hex()) for i, m in enumerate(got.tolist())] \
+            == [(n, m.hex()) for n, m in ref]
 
 
 def test_pule_aonghusa_extremes():
-    assert pule_aonghusa_bound([(0, 1.0)], 250.0) == pytest.approx(1 / 250.0, rel=1e-15)
-    masses = [(n, 0.25) for n in range(4)]
+    assert pule_aonghusa_bound(np.array([1.0]), 250.0) == pytest.approx(1 / 250.0, rel=1e-15)
+    masses = np.full(4, 0.25)
     assert pule_aonghusa_bound(masses, 80.0) == pytest.approx(4 / 80.0, rel=1e-12)
 
 
 def test_pule_aonghusa_validation():
     with pytest.raises(ValueError):
-        pule_aonghusa_bound([], 10.0)
+        pule_aonghusa_bound(np.array([]), 10.0)
     with pytest.raises(ValueError):
-        pule_aonghusa_bound([(0, 0.4)], 10.0)  # does not sum to 1
+        pule_aonghusa_bound(np.array([0.4]), 10.0)  # does not sum to 1
     with pytest.raises(ValueError):
-        pule_aonghusa_bound([(0, 1.5), (1, -0.5)], 10.0)
+        pule_aonghusa_bound(np.array([1.5, -0.5]), 10.0)
     with pytest.raises(ValueError):
-        pule_aonghusa_bound([(0, 1.0)], 0.0)
+        pule_aonghusa_bound(np.array([1.0]), 0.0)
+    # a 2-D input is refused for its shape, also where its entries would
+    # pass as masses: nonnegative, summing to 1
+    for masses in ([[0.0, 0.5], [0.0, 0.5]], [[0.25, 0.25], [0.25, 0.25]]):
+        with pytest.raises(ValueError, match="one array"):
+            pule_aonghusa_bound(np.array(masses), 10.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(raw=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=30))
 def test_property_pule_aonghusa_between_extremes(raw):
     total = sum(raw)
-    masses = [(n, v / total) for n, v in enumerate(raw)]
+    masses = np.array([v / total for v in raw])
     L = 123.0
     val = pule_aonghusa_bound(masses, L)
     s = len(masses)
@@ -238,7 +253,7 @@ def test_hardcore_bound_sandwich_on_ground_modes(L):
         gm = ground_mode(r)
         for a in (0.05, 0.5, 2.0, 20.0):
             masses = box_masses(gm, a)
-            support = sum(1 for _, m in masses if m > 0.0)
+            support = np.count_nonzero(masses > 0.0)
             pa_l = pule_aonghusa_bound(masses, L) * L
             lower = 8.0 / math.pi ** 2 * gm.interval_length / a
             assert lower <= pa_l <= support * (1.0 + 1e-12), (i, a)
@@ -515,8 +530,8 @@ _NAN = math.nan
     (theorem33_bound, (5.0, _NAN, 100.0, 0.5)),
     (theorem33_bound, (5.0, 1.0, _NAN, 0.5)),
     (theorem33_bound, (5.0, 1.0, 100.0, _NAN)),
-    (pule_aonghusa_bound, ([(0, 0.5), (1, 0.5)], _NAN)),
-    (pule_aonghusa_bound, ([(0, _NAN), (1, 1.0)], 100.0)),
+    (pule_aonghusa_bound, ([0.5, 0.5], _NAN)),
+    (pule_aonghusa_bound, ([_NAN, 1.0], 100.0)),
     (critical_density, (_NAN,)),
     (box_count_criterion, (_NAN, 100)),
     (box_count_criterion, (3, _NAN)),

@@ -763,7 +763,7 @@ assert "numpy.ma" not in sys.modules, "numpy.ma was imported by the report"
 assert len(KNOWN_CHECKS) == 6
 r = lslab.sample_realization(1.0, 100.0, lslab.EnsembleSeed(1, 0))
 masses = lslab.box_masses(lslab.ground_mode(r), 0.5)
-assert abs(sum(m for _, m in masses) - 1.0) < 1e-12
+assert masses.ndim == 1 and abs(masses.sum() - 1.0) < 1e-12
 assert "scipy" not in sys.modules, "scipy was imported"
 """
 
@@ -773,3 +773,11 @@ def test_import_and_scan_load_no_scipy(tmp_path):
                           env=_source_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "records.csv").exists()
+
+
+def test_python_dash_m_lslab_runs_the_cli_without_a_runpy_warning():
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lslab",
+                           "diag", "--n-grid", "1e2,1e4"],
+                          env=_source_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n,hardcore_vanishing,")

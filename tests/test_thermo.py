@@ -16,8 +16,6 @@ from lslab.thermo import (
     THERMO_MAX_N,
     CutoffConvergenceWarning,
     boltzmann_sums,
-    canonical_occupation,
-    canonical_occupations,
     canonical_partition,
     condensate_profile,
     estimate_saturation_density,
@@ -341,7 +339,7 @@ def test_recursion_matches_enumeration_spot_checks():
         z_oracle, occ_oracle = enumerate_bose(energies, beta, n)
         log_z = canonical_partition(s, beta, n)
         assert abs(math.exp(log_z[n]) - z_oracle) < 1e-10
-        occ = canonical_occupations(s, beta, n)
+        occ = condensate_profile(s, beta, n, len(s)).occupations
         np.testing.assert_allclose(occ, occ_oracle, rtol=0, atol=1e-10)
 
 
@@ -356,45 +354,45 @@ def test_property_recursion_equals_enumeration(energies, beta, n):
     z_oracle, occ_oracle = enumerate_bose(np.sort(energies), beta, n)
     log_z = canonical_partition(s, beta, n)
     assert abs(math.exp(log_z[n]) - z_oracle) < 1e-10
-    np.testing.assert_allclose(canonical_occupations(s, beta, n),
+    np.testing.assert_allclose(condensate_profile(s, beta, n, len(s)).occupations,
                                occ_oracle, rtol=0, atol=1e-10)
 
 
 def test_occupation_two_level_example():
     s = toy_spectrum([0.0, 1.0])
-    n0 = canonical_occupation(s, 1.0, 2, 0)
+    n0 = condensate_profile(s, 1.0, 2, 1).occupations[0]
     closed = (2.0 + math.exp(-1.0)) / (1.0 + math.exp(-1.0) + math.exp(-2.0))
     assert n0 == pytest.approx(closed, rel=1e-14)
     assert n0 == pytest.approx(1.57522, abs=1e-5)
-    n1 = canonical_occupation(s, 1.0, 2, 1)
+    n1 = condensate_profile(s, 1.0, 2, 2).occupations[1]
     assert n0 + n1 == pytest.approx(2.0, rel=1e-12)
 
 
 def test_conservation_on_sampled_spectrum():
     spec = sampled_spectrum()
     n = 200
-    occ = canonical_occupations(spec, 1.0, n)
+    occ = condensate_profile(spec, 1.0, n, len(spec)).occupations
     assert np.all(occ >= 0.0)
     assert abs(occ.sum() - n) <= 1e-8 * n
 
 
 def test_occupations_monotone_in_energy():
     s = toy_spectrum([0.0, 0.5, 1.25, 3.0])
-    occ = canonical_occupations(s, 1.3, 5)
+    occ = condensate_profile(s, 1.3, 5, len(s)).occupations
     assert np.all(np.diff(occ) < 0.0)
 
 
 def test_degenerate_levels_share_occupation():
     s = toy_spectrum([0.0, 1.0, 1.0, 2.0])
-    occ = canonical_occupations(s, 0.9, 4)
+    occ = condensate_profile(s, 0.9, 4, len(s)).occupations
     assert occ[1] == occ[2]
 
 
 def test_gauge_invariance_under_energy_shift():
     base = [0.0, 0.4, 1.1, 2.7]
     shifted = [e + 7.3 for e in base]
-    occ_a = canonical_occupations(toy_spectrum(base), 1.7, 6)
-    occ_b = canonical_occupations(toy_spectrum(shifted), 1.7, 6)
+    occ_a = condensate_profile(toy_spectrum(base), 1.7, 6, len(base)).occupations
+    occ_b = condensate_profile(toy_spectrum(shifted), 1.7, 6, len(shifted)).occupations
     np.testing.assert_allclose(occ_a, occ_b, rtol=0, atol=1e-10)
     lz_a = canonical_partition(toy_spectrum(base), 1.7, 6)
     lz_b = canonical_partition(toy_spectrum(shifted), 1.7, 6)
@@ -405,16 +403,12 @@ def test_cold_gas_sits_in_the_ground_mode():
     # beta * gap = 50 pushes every excited weight below 1e-21.
     s = toy_spectrum([0.0, 1.0, 1.5])
     for n in (1, 10, 100):
-        n0 = canonical_occupation(s, 50.0, n, 0)
+        n0 = condensate_profile(s, 50.0, n, 1).occupations[0]
         assert n0 >= n - 1e-10
 
 
 def test_occupation_argument_validation():
     s = toy_spectrum([0.0, 1.0])
-    with pytest.raises(ValueError):
-        canonical_occupation(s, 1.0, 2, 2)
-    with pytest.raises(ValueError):
-        canonical_occupation(s, 1.0, 2, -1)
     with pytest.raises(ValueError):
         canonical_partition(s, 1.0, 0)
     with pytest.raises(ValueError, match=str(THERMO_MAX_N)):
@@ -425,10 +419,44 @@ def test_profile_matches_single_mode_occupation():
     spec = sampled_spectrum(box_length=1000.0, seed=EnsembleSeed(12, 3))
     sol = condensate_profile(spec, 1.0, 1000, top_k=8)
     assert sol.condensate_density > 0.0
-    n0 = canonical_occupation(spec, 1.0, 1000, 0)
+    n0 = condensate_profile(spec, 1.0, 1000, 1).occupations[0]
     assert sol.condensate_density == n0 / spec.box_length
     assert sol.condensate_fraction == pytest.approx(n0 / 1000.0, rel=1e-15)
     assert sol.occupations.shape == (8,)
+
+
+def _occupation_single(delta_j, beta, log_z):
+    """<n_j> as its own sum over k, the one-mode form condensate_profile replaced."""
+    n = len(log_z) - 1
+    k = np.arange(1, n + 1, dtype=float)
+    exponents = -(k * beta) * delta_j + (log_z[n - 1::-1] - log_z[n])
+    return float(np.exp(exponents).sum())
+
+
+def _assert_occupations_equal_the_one_mode_form(spec, beta, n, top_k):
+    sol = condensate_profile(spec, beta, n, top_k)
+    delta = spec.energies - spec.energies[0]
+    ref = [_occupation_single(float(delta[j]), beta, sol.log_partitions)
+           for j in range(top_k)]
+    assert [float(v).hex() for v in sol.occupations] == [v.hex() for v in ref]
+
+
+@pytest.mark.parametrize("n", [2000, 20_000])
+def test_profile_occupations_equal_the_one_mode_form_bit_for_bit(n):
+    spec = sampled_spectrum(box_length=n / 0.6, seed=EnsembleSeed(25, 1))
+    _assert_occupations_equal_the_one_mode_form(spec, 1.0, n, 8)
+
+
+@pytest.mark.parametrize("energies, beta, n", [
+    ([0.0], 1.0, 3),
+    ([0.0, 1.0], 1.0, 2),
+    ([0.0, 0.1, 0.1, 3.0], 2.5, 6),
+    ([0.0, 0.5, 1.25, 3.0], 1.3, 50),
+    ([0.0, 1e-3, 0.2, 40.0, 95.0], 0.9, 400),
+])
+def test_profile_all_modes_equal_the_one_mode_form_bit_for_bit(energies, beta, n):
+    s = toy_spectrum(energies)
+    _assert_occupations_equal_the_one_mode_form(s, beta, n, len(s))
 
 
 def test_profile_total_is_conserved():
@@ -500,8 +528,6 @@ def test_unconverged_cutoff_warns_and_flags():
 
 @pytest.mark.parametrize("call", [
     lambda s: canonical_partition(s, 1.0, 20),
-    lambda s: canonical_occupation(s, 1.0, 20, 0),
-    lambda s: canonical_occupations(s, 1.0, 20),
     lambda s: condensate_profile(s, 1.0, 20, top_k=2),
 ])
 def test_cutoff_warning_points_at_the_caller(call):
@@ -514,8 +540,8 @@ def test_cutoff_warning_points_at_the_caller(call):
 def test_cutoff_insensitivity_beyond_default():
     r = sample_realization(1.0, 600.0, EnsembleSeed(15, 1))
     ec = default_cutoff(r, 1.0)
-    occ_a = canonical_occupation(build_spectrum(r, ec), 1.0, 50, 0)
-    occ_b = canonical_occupation(build_spectrum(r, 1.6 * ec), 1.0, 50, 0)
+    occ_a = condensate_profile(build_spectrum(r, ec), 1.0, 50, 1).occupations[0]
+    occ_b = condensate_profile(build_spectrum(r, 1.6 * ec), 1.0, 50, 1).occupations[0]
     assert abs(occ_a - occ_b) < 1e-9
 
 
