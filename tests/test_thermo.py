@@ -528,6 +528,8 @@ def test_unconverged_cutoff_warns_and_flags():
 
 @pytest.mark.parametrize("call", [
     lambda s: canonical_partition(s, 1.0, 20),
+    lambda s: condensate_profile(s, 1.0, 20, top_k=1).occupations[0],
+    lambda s: condensate_profile(s, 1.0, 20, top_k=len(s)).occupations,
     lambda s: condensate_profile(s, 1.0, 20, top_k=2),
 ])
 def test_cutoff_warning_points_at_the_caller(call):
