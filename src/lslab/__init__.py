@@ -16,7 +16,7 @@ from .thermo import (THERMO_MAX_N, CutoffConvergenceWarning, ThermoSolution,
                      boltzmann_sums, canonical_partition, condensate_profile,
                      estimate_saturation_density, saturation_density,
                      thermo_solution_to_text)
-from .bounds import (PowerLogLaw, ScalingDiagnostics, ScalingSpec, TrialStateEnergy,
+from .bounds import (PowerLogLaw, ScalingDiagnostics, TrialStateEnergy,
                      VoidTrialStateError, box_count_criterion, box_masses,
                      check_appendix_count, check_lemma21, critical_density,
                      pule_aonghusa_bound, scaling_diagnostics, theorem33_bound,

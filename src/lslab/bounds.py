@@ -22,7 +22,6 @@ __all__ = [
     "AppendixCountResult",
     "TrialStateEnergy",
     "PowerLogLaw",
-    "ScalingSpec",
     "ScalingDiagnostics",
     "check_lemma21",
     "box_masses",
@@ -197,21 +196,8 @@ class PowerLogLaw:
         return float(val) if val.ndim == 0 else val
 
 
-@dataclass(frozen=True)
-class ScalingSpec:
-    """The four tuning sequences: hard-core radius a_N, interaction range A_N,
-    interaction floor b_N, and soft-window width eps_N."""
-
-    hardcore_radius: PowerLogLaw
-    interaction_range: PowerLogLaw
-    interaction_floor: PowerLogLaw
-    delta_width: PowerLogLaw
-
-    def __post_init__(self):
-        if not self.hardcore_radius.bounded_above():
-            raise ValueError("hardcore_radius must stay bounded above")
-        if not self.interaction_range.bounded_above():
-            raise ValueError("interaction_range must stay bounded above")
+# attribute names of the four tuning sequences a_N, A_N, b_N and eps_N
+SCALING_LAWS = ("hardcore_radius", "interaction_range", "interaction_floor", "delta_width")
 
 
 @dataclass(frozen=True)
@@ -238,8 +224,12 @@ def _tail_trend(values: np.ndarray) -> str:
     return "mixed"
 
 
-def scaling_diagnostics(spec: ScalingSpec, n_grid) -> ScalingDiagnostics:
+def scaling_diagnostics(laws, n_grid) -> ScalingDiagnostics:
     """Evaluate the condensation-relevant combinations along a grid.
+
+    `laws` holds the SCALING_LAWS as PowerLogLaw attributes: hard-core radius
+    a_N, interaction range A_N, interaction floor b_N and soft-window width
+    eps_N.  An ExperimentConfig is such an object.
 
     hardcore_vanishing   ln^2 N / (a_N^2 N)      must vanish
     range_growth         A_N^3 N / ln^3 N        must diverge
@@ -256,15 +246,15 @@ def scaling_diagnostics(spec: ScalingSpec, n_grid) -> ScalingDiagnostics:
         raise ValueError("n_grid must be strictly increasing")
     log_n = np.log(grid)
     with np.errstate(all="ignore"):  # an overflow is refused below, by its value
-        laws = {name: law(grid) for name, law in vars(spec).items()}
-        a, big_a, floor, width = laws.values()
+        sequences = {name: getattr(laws, name)(grid) for name in SCALING_LAWS}
+        a, big_a, floor, width = sequences.values()
         columns = {
             "hardcore_vanishing": log_n ** 2 / (a ** 2 * grid),
             "range_growth": big_a ** 3 * grid / log_n ** 3,
             "floor_range_growth": floor * big_a ** 3 * grid / log_n ** 3,
             "delta_growth": width ** 3 * grid / log_n ** 3,
         }
-    for name, values in {**laws, **columns}.items():
+    for name, values in {**sequences, **columns}.items():
         bad = ~((values > 0) & (values < math.inf))
         if bad.any():
             raise ValueError(f"{name} is {values[bad][0]:g} at N = {grid[bad][0]:g}, "

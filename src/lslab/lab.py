@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .bounds import (MAX_BOXES, PowerLogLaw, ScalingDiagnostics, ScalingSpec,
+from .bounds import (MAX_BOXES, SCALING_LAWS, PowerLogLaw, ScalingDiagnostics,
                      VoidTrialStateError, box_count_criterion, box_masses,
                      check_appendix_count, check_lemma21, critical_density, format_value,
                      pule_aonghusa_bound, scaling_diagnostics, theorem33_bound,
@@ -80,20 +80,13 @@ class ExperimentConfig:
     interaction_floor: PowerLogLaw = PowerLogLaw(1.0, 0.0)
     delta_width: PowerLogLaw = PowerLogLaw(1.0, -0.2)
 
-    @property
-    def scaling(self) -> ScalingSpec:
-        """The four laws together; raises ValueError on an unbounded radius or range."""
-        return ScalingSpec(self.hardcore_radius, self.interaction_range,
-                           self.interaction_floor, self.delta_width)
-
     def __post_init__(self) -> None:
         for key in ("intensity", "density", "beta"):
             if not 0 < getattr(self, key) < math.inf:
                 raise ConfigError(f"{key} must be positive and finite")
-        try:
-            self.scaling  # builds the ScalingSpec, which refuses an unbounded radius or range
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        for key in ("hardcore_radius", "interaction_range"):
+            if not getattr(self, key).bounded_above():
+                raise ConfigError(f"{key} must stay bounded above")
         if not self.n_schedule:
             raise ConfigError("n_schedule must not be empty")
         if any(not 2 <= n <= sys.float_info.max or int(n) != n for n in self.n_schedule):
@@ -158,7 +151,7 @@ class ExperimentConfig:
                     f"{ceiling:g}; shrink the radius or the density")
         if "scaling" in self.checks:
             try:
-                return scaling_diagnostics(self.scaling, self.n_schedule)
+                return scaling_diagnostics(self, self.n_schedule)
             except ValueError as err:
                 raise ConfigError(str(err)) from None
         return None
@@ -214,8 +207,6 @@ _PARSERS = {"float": float, "int": _as_int, "str": str, "tuple[int, ...]": _as_i
             "tuple[str, ...]": _comma_list, "PowerLogLaw": _as_law}
 
 _CONFIG_FIELDS = {field.name: _PARSERS[field.type] for field in fields(ExperimentConfig)}
-
-_LAW_KEYS = tuple(key for key, parse in _CONFIG_FIELDS.items() if parse is _as_law)
 
 
 def _parse_config_text(text: str) -> dict[str, str]:
@@ -310,7 +301,7 @@ def _eval_hardcore(config, n, realization):
 
 
 def _eval_scaling(config, n, realization):
-    diag = scaling_diagnostics(config.scaling, [n])
+    diag = scaling_diagnostics(config, [n])
     return {name: float(col[0]) for name, col in diag.columns.items()}
 
 
@@ -500,18 +491,12 @@ def _summary_table(report: EnsembleReport) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _pass_table(report: EnsembleReport) -> tuple[list[str], list[list]]:
-    header = ["n", "check", "pass_fraction", "ensemble_size"]
-    rows = []
-    for n in report.config.n_schedule:
-        group = [rec for rec in report.records if rec["n"] == n]
-        for name in report.config.checks:
-            check = CHECKS[name]
-            if check.pass_field is None:
-                continue
-            flags = [bool(rec[check.prefix + check.pass_field]) for rec in group]
-            rows.append([n, name, sum(flags) / len(flags), len(flags)])
-    return header, rows
+def _pass_table(checks, header, rows) -> tuple[list[str], list[list]]:
+    """Each verdict's fraction per N, read from the summary table's rows."""
+    verdicts = [(name, header.index(f"{CHECKS[name].prefix}{CHECKS[name].pass_field}_fraction"))
+                for name in checks if CHECKS[name].pass_field is not None]
+    return (["n", "check", "pass_fraction", "ensemble_size"],
+            [[row[0], name, row[col], row[1]] for row in rows for name, col in verdicts])
 
 
 def _csv_lines(header, rows) -> list[str]:
@@ -535,8 +520,9 @@ def emit_report(report: EnsembleReport, output_dir: str | Path) -> list[Path]:
         raise ValueError("report has no records")
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = [_write_table(outdir / "summary.csv", *_summary_table(report))]
-    pheader, prows = _pass_table(report)
+    header, rows = _summary_table(report)
+    paths = [_write_table(outdir / "summary.csv", header, rows)]
+    pheader, prows = _pass_table(report.config.checks, header, rows)
     if prows:
         paths.append(_write_table(outdir / "pass_fractions.csv", pheader, prows))
     if report.scaling is not None:
@@ -617,15 +603,12 @@ def _cmd_scan(args) -> str:
 
 
 def _cmd_diag(args) -> str:
-    diag = scaling_diagnostics(_config(args).scaling, _as_int_list(args.n_grid))
+    diag = scaling_diagnostics(_config(args), _as_int_list(args.n_grid))
     rows = ([int(n), *values] for n, *values in zip(diag.n_grid, *diag.columns.values()))
     lines = _csv_lines(["n", *diag.columns], rows)
     lines.extend(f"# tail trend {name} = {trend}" for name, trend in diag.trends.items())
     return "\n".join(lines) + "\n"
 
-
-# config keys that only a whole scan uses; `bounds` evaluates one realization
-_SCAN_ONLY_KEYS = ("n_schedule", "realizations_per_n", "output_dir", "workers")
 
 _FLAG_HELP = {
     "density": "particle density; the box length is N/density",
@@ -637,79 +620,69 @@ _FLAG_HELP = {
 }
 
 
-_INDEX_HELP = "realization index within the ensemble (default 0)"
+def _integer(value: str) -> int:
+    """_as_int for argparse, which would word a ValueError as "invalid ... value"."""
+    import argparse  # loaded already: only a parser calls this
+    try:
+        return _as_int(value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _add_config_flags(parser, keys) -> None:
-    """--key-with-dashes for each config key; its value stays a string for load_config."""
-    for key in keys:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, default=None,
-                            metavar="C,P[,Q]" if key in _LAW_KEYS else None,
-                            help=_FLAG_HELP.get(key))
+# every argument that is not a config key: its flags and add_argument keywords
+_ARGUMENTS = {
+    "config": (("--config",), dict(help="flat key=value config file")),
+    "box_length": (("--box-length",), dict(type=float, required=True)),
+    "cutoff": (("--cutoff",), dict(type=float,
+                                   help="energy cutoff; omit to derive it from --beta")),
+    "particles": (("--particles",), dict(type=_integer, required=True)),
+    "index": (("--index",), dict(type=_integer, default=0,
+                                 help="realization index within the ensemble (default 0)")),
+    "n_grid": (("--n-grid",), dict(required=True,
+                                   help="comma list of sizes, e.g. 1e2,1e4,1e6,1e8")),
+    "output": (("-o", "--output"), {}),
+}
+
+# each subcommand: its help, the config keys it takes as flags, its other arguments
+# and its function; `bounds` evaluates one realization, so it takes no scan-only key
+_COMMANDS = {
+    "sample": ("draw one disorder realization", ("intensity", "base_seed"),
+               ("box_length", "index", "output"), _cmd_sample),
+    "spectrum": ("modes of one realization up to a cutoff", ("intensity", "beta", "base_seed"),
+                 ("box_length", "cutoff", "index", "output"), _cmd_spectrum),
+    "occupancy": (f"exact canonical occupations (O(N^2), capped at N={THERMO_MAX_N})",
+                  ("intensity", "density", "beta", "base_seed", "top_k"),
+                  ("particles", "index", "output"), _cmd_occupancy),
+    "bounds": ("evaluate checks on one realization",
+               tuple(key for key in _CONFIG_FIELDS if key not in
+                     ("n_schedule", "realizations_per_n", "output_dir", "workers")),
+               ("config", "particles", "index", "output"), _cmd_bounds),
+    "scan": ("run a full ensemble and write CSV reports", tuple(_CONFIG_FIELDS),
+             ("config",), _cmd_scan),
+    "diag": ("scaling diagnostics only, no sampling", SCALING_LAWS,
+             ("n_grid", "output"), _cmd_diag),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     # imported here, so that `import lslab` does not load it
     import argparse
 
-    def integer(value: str) -> int:
-        # argparse words a ValueError as "invalid integer value"; this keeps the reason
-        try:
-            return _as_int(value)
-        except ValueError as err:
-            raise argparse.ArgumentTypeError(str(err)) from None
-
     parser = argparse.ArgumentParser(
         prog="lslab",
         description="Point-disorder Bose gas laboratory: sampling, spectra, "
                     "exact canonical occupations, and condensation bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="draw one disorder realization")
-    _add_config_flags(p, ("intensity", "base_seed"))
-    p.add_argument("--box-length", type=float, required=True)
-    p.add_argument("--index", type=integer, default=0, help=_INDEX_HELP)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("spectrum", help="modes of one realization up to a cutoff")
-    _add_config_flags(p, ("intensity", "beta", "base_seed"))
-    p.add_argument("--box-length", type=float, required=True)
-    p.add_argument("--cutoff", type=float, default=None,
-                   help="energy cutoff; omit to derive it from --beta")
-    p.add_argument("--index", type=integer, default=0, help=_INDEX_HELP)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser(
-        "occupancy",
-        help=f"exact canonical occupations (O(N^2), capped at N={THERMO_MAX_N})")
-    _add_config_flags(p, ("intensity", "density", "beta", "base_seed", "top_k"))
-    p.add_argument("--particles", type=integer, required=True)
-    p.add_argument("--index", type=integer, default=0, help=_INDEX_HELP)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_occupancy)
-
-    p = sub.add_parser("bounds", help="evaluate checks on one realization")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    _add_config_flags(p, [k for k in _CONFIG_FIELDS if k not in _SCAN_ONLY_KEYS])
-    p.add_argument("--particles", type=integer, required=True)
-    p.add_argument("--index", type=integer, default=0, help=_INDEX_HELP)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("scan", help="run a full ensemble and write CSV reports")
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    _add_config_flags(p, _CONFIG_FIELDS)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("diag", help="scaling diagnostics only, no sampling")
-    p.add_argument("--n-grid", required=True,
-                   help="comma list of sizes, e.g. 1e2,1e4,1e6,1e8")
-    _add_config_flags(p, _LAW_KEYS)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_diag)
-
+    for command, (help_text, keys, others, func) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key in keys:
+            # --key-with-dashes; its value stays a string for load_config
+            p.add_argument("--" + key.replace("_", "-"), help=_FLAG_HELP.get(key),
+                           metavar="C,P[,Q]" if key in SCALING_LAWS else None)
+        for name in others:
+            flags, options = _ARGUMENTS[name]
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -726,3 +699,9 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0
+
+
+if __name__ == "__main__":  # `python -m lslab.lab` would run a second copy of this module
+    print("error: run the command line as `python -m lslab` (or `lslab`), "
+          "not `python -m lslab.lab`", file=sys.stderr)
+    raise SystemExit(2)

@@ -21,10 +21,9 @@ from lslab.bounds import (
     transition_switch,
     trial_state_energy,
     PowerLogLaw,
-    ScalingSpec,
 )
 from lslab.disorder import EnsembleSeed, sample_realization
-from lslab.lab import main
+from lslab.lab import ExperimentConfig, main
 from lslab.spectrum import build_spectrum, default_cutoff, ground_mode
 from lslab.thermo import condensate_profile, estimate_saturation_density
 
@@ -145,7 +144,7 @@ def test_criterion_6_scaling_diagnostics_trends():
     grid = np.logspace(2, 12, 11).astype(np.int64)
 
     def spec_with(radius_exp=-0.25, range_exp=0.0):
-        return ScalingSpec(
+        return ExperimentConfig(
             hardcore_radius=PowerLogLaw(1.0, radius_exp),
             interaction_range=PowerLogLaw(1.0, range_exp),
             interaction_floor=PowerLogLaw(1.0, 0.0),

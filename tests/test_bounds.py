@@ -13,7 +13,6 @@ from scipy import integrate
 from lslab.bounds import (
     AppendixCountResult,
     PowerLogLaw,
-    ScalingSpec,
     VoidTrialStateError,
     box_count_criterion,
     box_masses,
@@ -30,6 +29,7 @@ from lslab.bounds import (
     trial_state_energy,
 )
 from lslab.disorder import EnsembleSeed, sample_realization
+from lslab.lab import ConfigError, ExperimentConfig
 from lslab.spectrum import EigenMode, dirichlet_energy, ground_mode
 
 from conftest import make_realization
@@ -344,18 +344,17 @@ def test_power_log_law_values_and_bounds():
         PowerLogLaw(0.0, -1.0)
 
 
-def test_scaling_spec_rejects_unbounded_sequences():
-    ok = PowerLogLaw(1.0, -0.25)
+def test_config_refuses_unbounded_radius_or_range():
     growing = PowerLogLaw(1.0, 0.3)
-    with pytest.raises(ValueError):
-        ScalingSpec(growing, ok, ok, ok)
-    with pytest.raises(ValueError):
-        ScalingSpec(ok, growing, ok, ok)
-    ScalingSpec(ok, ok, growing, growing)  # floor and width may grow
+    with pytest.raises(ConfigError, match="hardcore_radius must stay bounded above"):
+        ExperimentConfig(hardcore_radius=growing)
+    with pytest.raises(ConfigError, match="interaction_range must stay bounded above"):
+        ExperimentConfig(interaction_range=growing)
+    ExperimentConfig(interaction_floor=growing, delta_width=growing)  # floor and width may grow
 
 
 def default_spec(delta=0.25, range_exp=0.0):
-    return ScalingSpec(
+    return ExperimentConfig(
         hardcore_radius=PowerLogLaw(1.0, -delta),
         interaction_range=PowerLogLaw(1.0, range_exp),
         interaction_floor=PowerLogLaw(1.0, 0.0),

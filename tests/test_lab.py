@@ -61,10 +61,10 @@ def test_config_file_parsing(tmp_path):
     assert config.base_seed == 99
     # canonical ordering, not input ordering
     assert config.checks == ("lemma21", "thermo")
-    law = config.scaling.hardcore_radius
+    law = config.hardcore_radius
     assert (law.coefficient, law.exponent, law.log_exponent) == (2.0, -0.5, 1.0)
     # untouched laws keep their defaults
-    assert config.scaling.interaction_range == ExperimentConfig().interaction_range
+    assert config.interaction_range == ExperimentConfig().interaction_range
 
 
 def test_flag_overrides_beat_file(tmp_path):
@@ -127,6 +127,7 @@ def test_config_rejections(overrides, fragment):
     ("workers", 0, "workers must be >= 1"),
     ("checks", ("bogus",), "unknown checks: bogus"),
     ("hardcore_radius", lslab.PowerLogLaw(1.0, 0.5), "hardcore_radius must stay bounded"),
+    ("interaction_range", lslab.PowerLogLaw(1.0, 0.0, 0.5), "interaction_range must stay bounded"),
 ])
 def test_building_a_config_refuses_out_of_range_keys(key, value, fragment):
     # no ExperimentConfig holds an out-of-range key, however it was built
@@ -309,11 +310,19 @@ def test_report_bytes_are_pinned(checks, n_schedule, realizations, base_seed, di
     assert written == digests
 
 
-def test_emit_report_summary_shape(tmp_path):
+def test_emit_report_summary_shape(tmp_path, monkeypatch):
     # 3 N-values x 2 checks: 3 summary rows carrying both column groups
     config = load_config(None, {"checks": "lemma21,appendix",
                                 "n_schedule": "100,200,400",
                                 "realizations_per_n": "5", "base_seed": "21"})
+
+    def upper_fails_on_odd_realizations(realization, *args):
+        # the upper bound never fails at these sizes, so lemma21's verdict
+        # would equal its lower_ok flag
+        res = lslab.bounds.check_lemma21(realization, *args)
+        return res._replace(upper_ok=realization.seed_info.realization_index % 2 == 0)
+
+    monkeypatch.setattr(lslab.lab, "check_lemma21", upper_fails_on_odd_realizations)
     report = run_ensemble(config)
     paths = {p.name: p for p in emit_report(report, tmp_path)}
     lines = paths["summary.csv"].read_text().strip().split("\n")
@@ -331,6 +340,15 @@ def test_emit_report_summary_shape(tmp_path):
     pass_lines = paths["pass_fractions.csv"].read_text().strip().split("\n")
     assert pass_lines[0] == "n,check,pass_fraction,ensemble_size"
     assert len(pass_lines) == 1 + 3 * 2
+    # each check's fraction is the mean of its verdict column, not of another flag
+    for line in pass_lines[1:]:
+        n, check, fraction, size = line.split(",")
+        column = {"lemma21": "lemma21_pass", "appendix": "appendix_pass"}[check]
+        verdicts = [rec[column] for rec in report.records if rec["n"] == int(n)]
+        assert (float(fraction), int(size)) == (np.mean(verdicts), 5)
+        if check == "lemma21":
+            lower = [rec["lemma21_lower_ok"] for rec in report.records if rec["n"] == int(n)]
+            assert np.mean(lower) != np.mean(verdicts)
 
 
 def test_aggregate_matches_numpy_nan_statistics_bit_for_bit():
@@ -781,3 +799,13 @@ def test_python_dash_m_lslab_runs_the_cli_without_a_runpy_warning():
                           env=_source_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n,hardcore_vanishing,")
+
+
+def test_python_dash_m_lslab_lab_refuses_with_an_error_line():
+    # runpy would run lab.py apart from the lslab.lab the package imports
+    proc = subprocess.run([sys.executable, "-m", "lslab.lab", "diag", "--n-grid", "1e2,1e4"],
+                          env=_source_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "`python -m lslab`" in errors[0], proc.stderr
