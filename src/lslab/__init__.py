@@ -6,16 +6,13 @@ closed-form bounds and scaling diagnostics that govern when the condensate
 survives.
 """
 
-from .disorder import (DisorderRealization, EnsembleSeed, realization_from_text,
-                       realization_to_text, sample_realization)
+from .disorder import DisorderRealization, EnsembleSeed, sample_realization
 from .spectrum import (EigenMode, EmptySpectrumError, Spectrum, build_spectrum,
                        cutoff_is_converged, default_cutoff, dirichlet_energy,
-                       ground_mode, ground_state_energy, spectrum_to_text,
-                       weyl_mode_count)
+                       ground_mode, ground_state_energy, weyl_mode_count)
 from .thermo import (THERMO_MAX_N, CutoffConvergenceWarning, ThermoSolution,
                      boltzmann_sums, canonical_partition, condensate_profile,
-                     estimate_saturation_density, saturation_density,
-                     thermo_solution_to_text)
+                     estimate_saturation_density, saturation_density)
 from .bounds import (PowerLogLaw, ScalingDiagnostics, TrialStateEnergy,
                      VoidTrialStateError, box_count_criterion, box_masses,
                      check_appendix_count, check_lemma21, critical_density,

@@ -35,7 +35,6 @@ __all__ = [
     "transition_kinetic_constant",
     "trial_state_energy",
     "check_appendix_count",
-    "format_value",
 ]
 
 class VoidTrialStateError(ValueError):
@@ -363,19 +362,3 @@ def check_appendix_count(realization: DisorderRealization,
     threshold = nu / (4.0 * math.exp(3.0 * nu) * density) * n
     count = realization.long_count
     return AppendixCountResult(count, threshold, count >= threshold)
-
-
-# ---------------------------------------------------------------------------
-# value formatting
-
-
-def format_value(value) -> str:
-    """Deterministic text form: booleans as 0/1, reals at 17 significant digits."""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
-

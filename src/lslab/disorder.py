@@ -46,8 +46,6 @@ __all__ = [
     "DisorderRealization",
     "check_point_budget",
     "sample_realization",
-    "realization_to_text",
-    "realization_from_text",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -363,42 +361,3 @@ def sample_realization(intensity: float, box_length: float,
         pts[kept:kept + moved.size] = moved
         kept += moved.size
     return DisorderRealization(float(intensity), float(box_length), pts[:kept], seed)
-
-
-def realization_to_text(realization: DisorderRealization) -> str:
-    """Line-oriented dump: header fields, then one point per line."""
-    r = realization
-    lines = [
-        "# disorder realization",
-        f"intensity = {r.intensity:.17g}",
-        f"box_length = {r.box_length:.17g}",
-        f"base_seed = {r.seed_info.base_seed}",
-        f"realization_index = {r.seed_info.realization_index}",
-        f"n_points = {r.n_points}",
-    ]
-    lines.extend(f"{p:.17g}" for p in r.points)
-    return "\n".join(lines) + "\n"
-
-
-def realization_from_text(text: str) -> DisorderRealization:
-    """Inverse of realization_to_text."""
-    header: dict[str, str] = {}
-    pts: list[float] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-            header[key.strip()] = val.strip()
-        else:
-            pts.append(float(line))
-    try:
-        intensity = float(header["intensity"])
-        box_length = float(header["box_length"])
-        seed = EnsembleSeed(int(header["base_seed"]), int(header["realization_index"]))
-    except KeyError as err:
-        raise ValueError(f"missing realization header field {err}") from None
-    if "n_points" in header and int(header["n_points"]) != len(pts):
-        raise ValueError("point count does not match the n_points header")
-    return DisorderRealization(intensity, box_length, np.asarray(pts, dtype=float), seed)

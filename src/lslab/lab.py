@@ -5,6 +5,10 @@ of the N schedule (box length L = N / density, never stored separately),
 with a fixed set of checks evaluated on every realization.  Records are
 plain dicts with a stable column set, so the emitted CSV files are
 byte-identical across repeated runs of the same configuration.
+
+The other modules return numbers; this one alone writes text, every value
+through format_value: booleans as 0/1, integers as they are, and reals at
+17 significant digits, which read back to the same float.
 """
 
 from __future__ import annotations
@@ -21,14 +25,13 @@ import numpy as np
 
 from .bounds import (MAX_BOXES, SCALING_LAWS, PowerLogLaw, ScalingDiagnostics,
                      VoidTrialStateError, box_count_criterion, box_masses,
-                     check_appendix_count, check_lemma21, critical_density, format_value,
+                     check_appendix_count, check_lemma21, critical_density,
                      pule_aonghusa_bound, scaling_diagnostics, theorem33_bound,
                      trial_state_energy)
 from .disorder import (EnsembleSeed, _sample_on_one_thread, check_point_budget,
-                       realization_to_text, sample_realization)
-from .spectrum import (build_spectrum, default_cutoff, ground_mode,
-                       spectrum_to_text)
-from .thermo import (THERMO_MAX_N, condensate_profile, thermo_solution_to_text)
+                       sample_realization)
+from .spectrum import build_spectrum, default_cutoff, ground_mode
+from .thermo import THERMO_MAX_N, condensate_profile
 
 if TYPE_CHECKING:
     import argparse
@@ -422,7 +425,25 @@ def run_ensemble(config: ExperimentConfig, workers: int | None = None) -> Ensemb
 
 
 # ---------------------------------------------------------------------------
-# report emission
+# text forms and report emission
+
+
+def format_value(value) -> str:
+    """Deterministic text form: booleans as 0/1, reals at 17 significant digits."""
+    if isinstance(value, float):  # the common case; np.float64 is a float, a bool is not
+        return f"{value:.17g}"
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, np.floating):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def _key_lines(values: dict) -> list[str]:
+    """One `key = value` line per entry, in order."""
+    return [f"{key} = {format_value(value)}" for key, value in values.items()]
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float, float, float]:
@@ -541,16 +562,15 @@ def _cell_text(checks, rec: dict) -> str:
     Each check repeats the meta columns as `check.in.key`, then lists its
     fields, with its verdict (if any) last as `check.pass`.
     """
-    lines = []
+    values = {}
     for name in checks:
         check = CHECKS[name]
-        lines.extend(f"{name}.in.{key} = {format_value(rec[key])}" for key in _META_COLUMNS)
-        lines.extend(f"{name}.{f} = {format_value(rec[check.prefix + f])}"
-                     for f in check.fields if f != check.pass_field)
+        values.update((f"{name}.in.{key}", rec[key]) for key in _META_COLUMNS)
+        values.update((f"{name}.{f}", rec[check.prefix + f])
+                      for f in check.fields if f != check.pass_field)
         if check.pass_field:
-            passed = bool(rec[check.prefix + check.pass_field])
-            lines.append(f"{name}.pass = {format_value(passed)}")
-    return "\n".join(lines) + "\n"
+            values[f"{name}.pass"] = bool(rec[check.prefix + check.pass_field])
+    return "\n".join(_key_lines(values)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +588,15 @@ def _config(args, **fixed) -> ExperimentConfig:
 
 
 def _cmd_sample(args) -> str:
+    """The realization's header, whose seed replays it, then one point per line."""
     config = _config(args)
     r = _realization(config, args.box_length, args.index)
-    return realization_to_text(r)
+    lines = ["# disorder realization", *_key_lines({
+        "intensity": r.intensity, "box_length": r.box_length,
+        "base_seed": r.seed_info.base_seed,
+        "realization_index": r.seed_info.realization_index, "n_points": r.n_points})]
+    lines.extend(map(format_value, r.points.tolist()))
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_spectrum(args) -> str:
@@ -579,14 +605,26 @@ def _cmd_spectrum(args) -> str:
     config = _config(args)
     r = _realization(config, args.box_length, args.index)
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(r, config.beta)
-    return spectrum_to_text(build_spectrum(r, cutoff))
+    s = build_spectrum(r, cutoff)
+    # the rows _csv_lines would write, with one format_value per row: the indices are ints
+    rows = zip(map(format_value, s.energies.tolist()), s.interval_indices.tolist(),
+               s.mode_numbers.tolist())
+    return "\n".join(["energy,interval_index,mode_number",
+                      *(f"{e},{j},{n}" for e, j, n in rows)]) + "\n"
 
 
 def _cmd_occupancy(args) -> str:
     config = _config(args)
     r = _realization(config, args.particles / config.density, args.index)
     _, sol = _thermo(config, args.particles, r)
-    return thermo_solution_to_text(sol)
+    lines = ["# thermo solution", *_key_lines({
+        "beta": sol.beta, "particle_number": sol.particle_number,
+        "box_length": sol.box_length, "log_partition": sol.log_partition,
+        "condensate_density": sol.condensate_density,
+        "condensate_fraction": sol.condensate_fraction,
+        "tail_occupation": sol.tail_occupation, "cutoff_converged": sol.cutoff_converged,
+        "occupations": ",".join(map(format_value, sol.occupations.tolist()))})]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_bounds(args) -> str:

@@ -28,7 +28,6 @@ __all__ = [
     "weyl_mode_count",
     "default_cutoff",
     "cutoff_is_converged",
-    "spectrum_to_text",
 ]
 
 PI = math.pi
@@ -106,6 +105,7 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
     """
     if energy_cutoff <= 0 or not math.isfinite(energy_cutoff):
         raise ValueError("energy_cutoff must be positive and finite")
+    e0 = ground_state_energy(realization)  # refuses a box too small for any mode
     lengths = realization.interval_lengths
     n_max = np.floor(lengths * (math.sqrt(energy_cutoff) / PI))
     # counted in floating point, so a count past the int64 range is refused too
@@ -128,8 +128,7 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
     total = int(n_max.sum())
     if total == 0:
         raise EmptySpectrumError(
-            f"cutoff {energy_cutoff:g} lies below the ground-state energy "
-            f"{ground_state_energy(realization):g}")
+            f"cutoff {energy_cutoff:g} lies below the ground-state energy {e0:g}")
     interval_idx = np.repeat(np.arange(n_max.size, dtype=np.int64), n_max)
     starts = np.concatenate(([0], np.cumsum(n_max)[:-1]))
     mode_num = np.arange(total, dtype=np.int64) - np.repeat(starts, n_max) + 1
@@ -151,10 +150,15 @@ def ground_state_energy(realization: DisorderRealization) -> float:
 
 
 def ground_mode(realization: DisorderRealization) -> EigenMode:
-    """The lowest mode as an EigenMode record."""
+    """The lowest mode as an EigenMode record; refused if its energy is not finite."""
     l_max, idx = realization.l_max, realization.l_max_index
+    with np.errstate(over="ignore", divide="ignore"):  # inf is refused below
+        energy = float(dirichlet_energy(1, l_max))
+    if energy == math.inf:
+        raise ValueError(f"box_length {realization.box_length:g} is too small: its "
+                         "ground-state energy pi^2/l_max^2 is not a finite float")
     left = realization.points[idx - 1] if idx else -realization.box_length / 2.0
-    return EigenMode(idx, 1, float(dirichlet_energy(1, l_max)), float(left), l_max)
+    return EigenMode(idx, 1, energy, float(left), l_max)
 
 
 def weyl_mode_count(lengths, energy: float) -> int:
@@ -178,6 +182,9 @@ def default_cutoff(realization: DisorderRealization, beta: float) -> float:
     log_target = math.log(TAIL_WEIGHT_TARGET) + math.log(0.5)
     ecut = e0 + (math.log(2.0) - log_target) / beta
     for _ in range(64):
+        if not 4.0 * ecut < math.inf:
+            raise ValueError(f"beta {beta:g} is too small: the energy cutoff it needs "
+                             "is not a finite float")
         count = max(weyl_mode_count(lengths, 4.0 * ecut), 1)
         new = e0 + (math.log(count) - log_target) / beta
         if new <= ecut * (1.0 + 1e-12):
@@ -195,11 +202,3 @@ def cutoff_is_converged(spectrum: Spectrum, beta: float) -> bool:
     count = max(weyl_mode_count(spectrum.interval_lengths, 4.0 * spectrum.energy_cutoff), 1)
     return math.exp(-beta * (spectrum.energy_cutoff - spectrum.ground_energy)) * count \
         < TAIL_WEIGHT_TARGET
-
-
-def spectrum_to_text(spectrum: Spectrum) -> str:
-    """Columnar dump (energy, interval_index, mode_number), energy-sorted."""
-    lines = ["energy,interval_index,mode_number"]
-    for e, j, n in zip(spectrum.energies, spectrum.interval_indices, spectrum.mode_numbers):
-        lines.append(f"{e:.17g},{int(j)},{int(n)}")
-    return "\n".join(lines) + "\n"

@@ -57,7 +57,6 @@ __all__ = [
     "condensate_profile",
     "saturation_density",
     "estimate_saturation_density",
-    "thermo_solution_to_text",
 ]
 
 # O(N^2) recursion ceiling: above this, one evaluation stops being desk-scale.
@@ -413,22 +412,3 @@ def estimate_saturation_density(intensity: float, beta: float, box_length: float
         spec = build_spectrum(r, default_cutoff(r, beta))
         values.append(saturation_density(spec, beta))
     return float(np.median(values))
-
-
-def thermo_solution_to_text(solution: ThermoSolution) -> str:
-    """Flat record plus the top-k occupation list."""
-    s = solution
-    occ = ",".join(f"{v:.17g}" for v in s.occupations)
-    lines = [
-        "# thermo solution",
-        f"beta = {s.beta:.17g}",
-        f"particle_number = {s.particle_number}",
-        f"box_length = {s.box_length:.17g}",
-        f"log_partition = {s.log_partition:.17g}",
-        f"condensate_density = {s.condensate_density:.17g}",
-        f"condensate_fraction = {s.condensate_fraction:.17g}",
-        f"tail_occupation = {s.tail_occupation:.17g}",
-        f"cutoff_converged = {int(s.cutoff_converged)}",
-        f"occupations = {occ}",
-    ]
-    return "\n".join(lines) + "\n"

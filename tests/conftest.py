@@ -35,6 +35,23 @@ def toy_spectrum(energies, box_length=1.0):
     )
 
 
+def split_dump(text):
+    """A command's text as its `key = value` fields (in order) and its other lines.
+
+    Comment lines are dropped.
+    """
+    fields, rest = {}, []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        key, sep, value = line.partition(" = ")
+        if sep:
+            fields[key] = value
+        else:
+            rest.append(line)
+    return fields, rest
+
+
 def enumerate_bose(energies, beta, n):
     """Exhaustive canonical ensemble by multiset enumeration.
 

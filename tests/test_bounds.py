@@ -19,7 +19,6 @@ from lslab.bounds import (
     check_appendix_count,
     check_lemma21,
     critical_density,
-    format_value,
     pule_aonghusa_bound,
     scaling_diagnostics,
     theorem33_bound,
@@ -29,7 +28,7 @@ from lslab.bounds import (
     trial_state_energy,
 )
 from lslab.disorder import EnsembleSeed, sample_realization
-from lslab.lab import ConfigError, ExperimentConfig
+from lslab.lab import ConfigError, ExperimentConfig, format_value
 from lslab.spectrum import EigenMode, dirichlet_energy, ground_mode
 
 from conftest import make_realization
@@ -555,4 +554,7 @@ def test_format_value():
     assert format_value(np.bool_(True)) == "1"
     assert format_value(7) == "7"
     assert format_value(0.1) == "0.10000000000000001"
+    assert format_value(np.float64(0.1)) == "0.10000000000000001"
+    assert format_value(np.float32(0.1)) == "0.10000000149011612"
+    assert format_value(np.int64(-7)) == "-7"
 

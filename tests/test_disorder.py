@@ -15,13 +15,12 @@ import lslab.disorder
 from lslab.disorder import (
     DisorderRealization,
     EnsembleSeed,
-    realization_from_text,
-    realization_to_text,
     sample_realization,
 )
+from lslab.lab import main
 from lslab.spectrum import build_spectrum, default_cutoff, ground_mode
 
-from conftest import make_realization
+from conftest import make_realization, split_dump
 
 _BLOCK = lslab.disorder._BLOCK
 
@@ -343,22 +342,21 @@ def test_count_rate_matches_exponential_tail():
     assert abs(rate - math.exp(-3.0)) < 0.1 * math.exp(-3.0)
 
 
-def test_text_round_trip_is_bit_exact():
+def test_text_round_trip_is_bit_exact(capsys):
+    # the `lslab sample` dump: its header replays the realization, its points read back
     r = sample_realization(1.5, 300.0, EnsembleSeed(77, 4))
-    back = realization_from_text(realization_to_text(r))
+    assert main(["sample", "--intensity", "1.5", "--box-length", "300",
+                 "--base-seed", "77", "--index", "4"]) == 0
+    header, points = split_dump(capsys.readouterr().out)
+    assert int(header["n_points"]) == len(points)
+    seed = EnsembleSeed(int(header["base_seed"]), int(header["realization_index"]))
+    back = DisorderRealization(float(header["intensity"]), float(header["box_length"]),
+                               np.array([float(p) for p in points]), seed)
     assert back.intensity == r.intensity
     assert back.box_length == r.box_length
     assert back.seed_info == r.seed_info
     np.testing.assert_array_equal(back.points, r.points)
     np.testing.assert_array_equal(back.interval_lengths, r.interval_lengths)
-
-
-def test_text_rejects_corrupted_count():
-    text = realization_to_text(sample_realization(1.0, 50.0, EnsembleSeed(1, 1)))
-    lines = text.splitlines()
-    dropped = "\n".join(lines[:-1]) + "\n"
-    with pytest.raises(ValueError):
-        realization_from_text(dropped)
 
 
 def test_sample_argument_validation():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lslab
+from lslab.bounds import check_appendix_count, check_lemma21
 from lslab.disorder import EnsembleSeed, sample_realization
 from lslab.lab import (
     _CONFIG_FIELDS,
@@ -30,7 +31,9 @@ from lslab.lab import (
     run_ensemble,
 )
 from lslab.spectrum import build_spectrum, default_cutoff
-from lslab.thermo import condensate_profile, thermo_solution_to_text
+from lslab.thermo import condensate_profile
+
+from conftest import split_dump
 
 
 def test_default_config_is_valid():
@@ -436,11 +439,29 @@ def test_cli_sample_round_trip(tmp_path):
     rc = main(["sample", "--box-length", "120", "--base-seed", "5",
                "--index", "2", "-o", str(out)])
     assert rc == 0
-    from lslab.disorder import realization_from_text, realization_to_text
     direct = sample_realization(1.0, 120.0, EnsembleSeed(5, 2))
-    assert out.read_text(encoding="utf-8") == realization_to_text(direct)
-    parsed = realization_from_text(out.read_text(encoding="utf-8"))
-    np.testing.assert_array_equal(parsed.points, direct.points)
+    text = out.read_text(encoding="utf-8")
+    assert text.startswith("# disorder realization\n")
+    header, points = split_dump(text)
+    assert header == {"intensity": "1", "box_length": "120", "base_seed": "5",
+                      "realization_index": "2", "n_points": str(direct.n_points)}
+    # every point reads back to its own bits
+    assert np.array([float(p) for p in points]).tobytes() == direct.points.tobytes()
+
+
+# sha256 of stdout: a dump holds draws, sorts, IEEE arithmetic and the cutoff's
+# math.log, whose bits do not depend on numpy's CPU dispatch
+@pytest.mark.parametrize("argv, digest", [
+    (["sample", "--box-length", "1e-3", "--base-seed", "4"],
+     "16f50771139f45903a3694e70afe713bb79211a267e22ffc337c465a41afa770"),
+    (["sample", "--box-length", "5000", "--intensity", "2.5", "--base-seed", "77",
+      "--index", "3"], "20f0ee56e9a6827fabe3e3ddd60f20c13a0c2f51cd623a42aa80d6321d930c54"),
+    (["spectrum", "--box-length", "300", "--beta", "1.0", "--index", "2"],
+     "4bbb88c47bb2dcf8d865ca64ea9ae71d51847dbcf9bad2e236578161bebc7294"),
+], ids=["sample-empty", "sample", "spectrum"])
+def test_cli_dumps_are_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_spectrum(tmp_path):
@@ -465,7 +486,22 @@ def test_cli_occupancy_matches_library(tmp_path):
     r = sample_realization(1.0, 40.0, EnsembleSeed(9, 0))
     spec = build_spectrum(r, default_cutoff(r, 1.0))
     sol = condensate_profile(spec, 1.0, 40, 4)
-    assert out.read_text(encoding="utf-8") == thermo_solution_to_text(sol)
+    text = out.read_text(encoding="utf-8")
+    assert text.startswith("# thermo solution\n")
+    fields, rest = split_dump(text)
+    assert rest == []
+    assert list(fields) == ["beta", "particle_number", "box_length", "log_partition",
+                            "condensate_density", "condensate_fraction", "tail_occupation",
+                            "cutoff_converged", "occupations"]
+    reals = ("beta", "box_length", "log_partition", "condensate_density",
+             "condensate_fraction", "tail_occupation")
+    # exp and log move with numpy's dispatch, so each line is read back, not hashed
+    assert {key: float(fields[key]) for key in reals} == \
+        {key: getattr(sol, key) for key in reals}
+    assert fields["particle_number"] == "40"
+    assert fields["cutoff_converged"] == str(int(sol.cutoff_converged))
+    occupations = np.array([float(v) for v in fields["occupations"].split(",")])
+    assert occupations.tobytes() == sol.occupations.tobytes()
 
 
 def test_cli_bounds_lists_requested_checks(tmp_path):
@@ -473,10 +509,26 @@ def test_cli_bounds_lists_requested_checks(tmp_path):
     rc = main(["bounds", "--particles", "200", "--checks", "lemma21,appendix",
                "--base-seed", "11", "-o", str(out)])
     assert rc == 0
-    text = out.read_text(encoding="utf-8")
-    assert "lemma21.pass = " in text
-    assert "appendix.count = " in text
-    assert "appendix.in.n = 200" in text
+    fields, rest = split_dump(out.read_text(encoding="utf-8"))
+    assert rest == []
+    r = sample_realization(1.0, 200.0, EnsembleSeed(11, 0))
+    config = load_config(None)
+    lemma = check_lemma21(r, config.lemma21_epsilon, config.lemma21_alpha)
+    appendix = check_appendix_count(r, config.density)
+    meta = {"in.n": 200, "in.realization_index": 0, "in.base_seed": 11,
+            "in.box_length": 200.0}
+    expected = {
+        **{f"lemma21.{k}": v for k, v in meta.items()},
+        "lemma21.l_max": lemma.l_max, "lemma21.lower": lemma.lower_bound,
+        "lemma21.upper": lemma.upper_bound, "lemma21.lower_ok": lemma.lower_ok,
+        "lemma21.upper_ok": lemma.upper_ok, "lemma21.pass": lemma.lower_ok and lemma.upper_ok,
+        **{f"appendix.{k}": v for k, v in meta.items()},
+        "appendix.count": appendix.count, "appendix.threshold": appendix.threshold,
+        "appendix.pass": appendix.passed}
+    assert list(fields) == list(expected)
+    # a flag reads 0 or 1, and every number back to its own float
+    assert {key: float(value) for key, value in fields.items()} == expected
+    assert all(fields[key] in ("0", "1") for key in expected if key.endswith(("ok", "pass")))
 
 
 @pytest.mark.parametrize("command", ["bounds", "occupancy"])
@@ -799,6 +851,21 @@ def test_python_dash_m_lslab_runs_the_cli_without_a_runpy_warning():
                           env=_source_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("n,hardcore_vanishing,")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["occupancy", "--particles", "20", "--density", "1e300"], "box_length 2e-299"),
+    (["spectrum", "--box-length", "10", "--beta", "1e-308"], "beta 1e-308"),
+    (["spectrum", "--box-length", "1e-200", "--cutoff", "1"], "box_length 1e-200"),
+], ids=["occupancy-tiny-box", "spectrum-tiny-beta", "spectrum-tiny-box"])
+def test_tiny_box_or_beta_is_refused_by_name_without_a_warning(argv, name):
+    # pi^2 / l^2 or the cutoff of a tiny beta is no finite float: refused before use
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "lslab", *argv],
+                          env=_source_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    errors = proc.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith(f"error: {name} is too small"), proc.stderr
 
 
 def test_python_dash_m_lslab_lab_refuses_with_an_error_line():

@@ -18,9 +18,9 @@ from lslab.spectrum import (
     dirichlet_energy,
     ground_mode,
     ground_state_energy,
-    spectrum_to_text,
     weyl_mode_count,
 )
+from lslab.lab import main
 
 from conftest import make_realization
 
@@ -221,11 +221,10 @@ def test_mode_accessor_consistency():
             float(dirichlet_energy(s.mode_numbers[k], length)), rel=1e-15)
 
 
-def test_spectrum_text_export():
-    r = make_realization([-0.5], 3.0)
-    s = build_spectrum(r, 23.0)
-    text = spectrum_to_text(s)
-    lines = text.strip().split("\n")
+def test_spectrum_text_export(capsys):
+    s = build_spectrum(sample_realization(1.0, 30.0, EnsembleSeed(2, 0)), 23.0)
+    assert main(["spectrum", "--box-length", "30", "--cutoff", "23", "--base-seed", "2"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "energy,interval_index,mode_number"
     assert len(lines) == len(s) + 1
     first = lines[1].split(",")
@@ -233,3 +232,5 @@ def test_spectrum_text_export():
     assert (int(first[1]), int(first[2])) == (s.interval_indices[0], s.mode_numbers[0])
     parsed = np.array([float(ln.split(",")[0]) for ln in lines[1:]])
     np.testing.assert_array_equal(parsed, s.energies)
+    indices = np.array([ln.split(",")[1:] for ln in lines[1:]], dtype=np.int64)
+    np.testing.assert_array_equal(indices, np.column_stack((s.interval_indices, s.mode_numbers)))

@@ -7,7 +7,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # exported names that no scan, CLI command, benchmark or criterion reaches, kept on purpose
 ALLOWED_UNREACHED = {
-    "realization_from_text": "reads a `lslab sample` dump back, so a realization replays",
     "transition_switch_derivative": "integrand of the quadrature oracle that pins kappa",
 }
 
@@ -56,3 +55,15 @@ def test_every_export_is_reached():
         "exported but reached only by unit tests; delete it or justify it in ALLOWED_UNREACHED"
     # an entry whose name is gone or now reached must leave the allowlist
     assert unreached >= ALLOWED_UNREACHED.keys()
+
+
+def test_only_lab_writes_text():
+    # the layers hand back numbers; lab.py alone turns a value into text
+    for path in sorted((ROOT / "src" / "lslab").glob("*.py")):
+        if path.name == "lab.py":
+            continue
+        defined = {node.name for node in ast.walk(_parse(path))
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        text_forms = {name for name in defined if name == "format_value"
+                      or name.endswith(("_to_text", "_from_text"))}
+        assert text_forms == set(), f"{path.name} defines {sorted(text_forms)}"

@@ -20,10 +20,10 @@ from lslab.thermo import (
     condensate_profile,
     estimate_saturation_density,
     saturation_density,
-    thermo_solution_to_text,
 )
+from lslab.lab import main
 
-from conftest import enumerate_bose, toy_spectrum
+from conftest import enumerate_bose, split_dump, toy_spectrum
 
 
 BLOCK = lslab.thermo._BLOCK
@@ -557,11 +557,12 @@ def test_saturation_density_closed_form_and_estimator():
     assert a == b and a > 0.0
 
 
-def test_thermo_text_export_round_trip():
-    spec = sampled_spectrum(box_length=300.0, seed=EnsembleSeed(17, 0))
+def test_thermo_text_export_round_trip(capsys):
+    spec = sampled_spectrum(box_length=200.0, seed=EnsembleSeed(17, 0))
     sol = condensate_profile(spec, 1.0, 25, top_k=4)
-    text = thermo_solution_to_text(sol)
-    fields = dict(line.split(" = ") for line in text.strip().splitlines()[1:])
+    assert main(["occupancy", "--particles", "25", "--density", "0.125", "--beta", "1",
+                 "--base-seed", "17", "--top-k", "4"]) == 0
+    fields, _ = split_dump(capsys.readouterr().out)
     assert float(fields["beta"]) == 1.0
     assert int(fields["particle_number"]) == 25
     assert float(fields["condensate_density"]) == sol.condensate_density
