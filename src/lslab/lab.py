@@ -618,7 +618,7 @@ def _cmd_occupancy(args) -> str:
     r = _realization(config, args.particles / config.density, args.index)
     _, sol = _thermo(config, args.particles, r)
     lines = ["# thermo solution", *_key_lines({
-        "beta": sol.beta, "particle_number": sol.particle_number,
+        "beta": config.beta, "particle_number": sol.particle_number,
         "box_length": sol.box_length, "log_partition": sol.log_partition,
         "condensate_density": sol.condensate_density,
         "condensate_fraction": sol.condensate_fraction,

@@ -2,9 +2,9 @@
 
 The operator decomposes over the subintervals with a wall at every point
 and at the box edges; on a piece of length l the eigenvalues are
-pi^2 n^2 / l^2 (n >= 1) with normalized sine eigenfunctions supported on
-that piece alone.  A Spectrum is the energy-sorted union of all modes up
-to a finite cutoff, stored column-wise.
+pi^2 n^2 / l^2 (n >= 1), with normalized sine eigenfunctions on that piece
+alone.  A Spectrum is the energy-sorted union of all modes up to a finite
+cutoff; default_cutoff picks it by the one rule cutoff_is_converged judges.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "Spectrum",
     "dirichlet_energy",
     "build_spectrum",
-    "ground_state_energy",
     "ground_mode",
     "weyl_mode_count",
     "default_cutoff",
@@ -92,10 +91,6 @@ class Spectrum:
     def __len__(self) -> int:
         return int(self.energies.size)
 
-    @property
-    def ground_energy(self) -> float:
-        return float(self.energies[0])
-
 
 def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Spectrum:
     """All modes with energy <= cutoff, sorted by (energy, interval, harmonic).
@@ -105,7 +100,7 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
     """
     if energy_cutoff <= 0 or not math.isfinite(energy_cutoff):
         raise ValueError("energy_cutoff must be positive and finite")
-    e0 = ground_state_energy(realization)  # refuses a box too small for any mode
+    e0 = ground_mode(realization).energy  # refuses a box too small for any mode
     lengths = realization.interval_lengths
     n_max = np.floor(lengths * (math.sqrt(energy_cutoff) / PI))
     # counted in floating point, so a count past the int64 range is refused too
@@ -144,11 +139,6 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
                     lengths, float(energy_cutoff), realization.box_length)
 
 
-def ground_state_energy(realization: DisorderRealization) -> float:
-    """pi^2 / l_max^2: the first harmonic of the longest interval."""
-    return ground_mode(realization).energy
-
-
 def ground_mode(realization: DisorderRealization) -> EigenMode:
     """The lowest mode as an EigenMode record; refused if its energy is not finite."""
     l_max, idx = realization.l_max, realization.l_max_index
@@ -169,28 +159,41 @@ def weyl_mode_count(lengths, energy: float) -> int:
     return int(np.floor(lengths * (math.sqrt(energy) / PI)).sum())
 
 
+def _tail_is_negligible(energy_cutoff: float, ground_energy: float, beta: float,
+                        count: int) -> bool:
+    """The cutoff rule, given count, the number of modes below 4 E_cut."""
+    return math.exp(-beta * (energy_cutoff - ground_energy)) * max(count, 1) \
+        < TAIL_WEIGHT_TARGET
+
+
 def default_cutoff(realization: DisorderRealization, beta: float) -> float:
     """Cutoff with a comfortably negligible Boltzmann tail at this beta.
 
-    Picks E_cut so that exp(-beta (E_cut - e0)) times the number of modes
-    below 4 E_cut stays under TAIL_WEIGHT_TARGET (with a factor-2 margin).
+    E_cut = e0 + (ln c - ln(TAIL_WEIGHT_TARGET / 2)) / beta, from c = 2 and
+    then with c the mode count below 4 E_cut until that count stops growing
+    (it grows like sqrt(ln c)).  Where e0 + the gap rounds the factor-2
+    margin away, E_cut steps up one float at a time, so the result always
+    passes cutoff_is_converged.
     """
     if not 0 < beta < math.inf:
         raise ValueError("beta must be positive and finite")
-    e0 = ground_state_energy(realization)
+    e0 = ground_mode(realization).energy
     lengths = realization.interval_lengths
     log_target = math.log(TAIL_WEIGHT_TARGET) + math.log(0.5)
-    ecut = e0 + (math.log(2.0) - log_target) / beta
-    for _ in range(64):
+    c = 2
+    ecut = e0 + (math.log(c) - log_target) / beta
+    while True:
         if not 4.0 * ecut < math.inf:
             raise ValueError(f"beta {beta:g} is too small: the energy cutoff it needs "
                              "is not a finite float")
-        count = max(weyl_mode_count(lengths, 4.0 * ecut), 1)
-        new = e0 + (math.log(count) - log_target) / beta
-        if new <= ecut * (1.0 + 1e-12):
-            break
-        ecut = new
-    return ecut
+        count = weyl_mode_count(lengths, 4.0 * ecut)
+        if count > c:
+            c = count
+            ecut = e0 + (math.log(c) - log_target) / beta
+        elif _tail_is_negligible(ecut, e0, beta, count):
+            return ecut
+        else:
+            ecut = math.nextafter(ecut, math.inf)
 
 
 def cutoff_is_converged(spectrum: Spectrum, beta: float) -> bool:
@@ -199,6 +202,5 @@ def cutoff_is_converged(spectrum: Spectrum, beta: float) -> bool:
         raise ValueError("beta must be positive and finite")
     if not math.isfinite(spectrum.energy_cutoff):
         return True
-    count = max(weyl_mode_count(spectrum.interval_lengths, 4.0 * spectrum.energy_cutoff), 1)
-    return math.exp(-beta * (spectrum.energy_cutoff - spectrum.ground_energy)) * count \
-        < TAIL_WEIGHT_TARGET
+    count = weyl_mode_count(spectrum.interval_lengths, 4.0 * spectrum.energy_cutoff)
+    return _tail_is_negligible(spectrum.energy_cutoff, float(spectrum.energies[0]), beta, count)

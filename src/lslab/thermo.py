@@ -26,7 +26,7 @@ ln(1e18) / (beta (e_g - e_0)), and g (1 to 8) is chosen from the spectrum
 to make it small: a near-degenerate level above the ground level would
 otherwise keep the recursion going to N.  The cost is O(m*^2 + g N) plus
 the sums; where the excited levels never saturate, m* = N and the cost is
-the full O(N^2), so THERMO_MAX_N still marks the desk-scale ceiling.  The
+the full O(N^2), so THERMO_MAX_N still caps N (and max_power).  The
 result is exact for the canonical ensemble at fixed particle number.
 condensate_profile is the one entry point for occupations: it evaluates
 <n_j> for the lowest top_k modes (top_k = the mode count gives them all)
@@ -97,32 +97,41 @@ class ThermoSolution:
     """Canonical occupation summary for one (spectrum, beta, N).
 
     occupations holds the lowest top_k modes; everything above them is
-    aggregated into tail_occupation.
+    aggregated into tail_occupation.  N is len(log_partitions) - 1.
     """
 
-    beta: float
-    particle_number: int
     log_partitions: np.ndarray
     occupations: np.ndarray
     tail_occupation: float
-    condensate_density: float
-    condensate_fraction: float
     box_length: float
     cutoff_converged: bool
+
+    @property
+    def particle_number(self) -> int:
+        return self.log_partitions.size - 1
 
     @property
     def log_partition(self) -> float:
         """ln Z_N in the ground-shifted gauge."""
         return float(self.log_partitions[-1])
 
+    @property
+    def condensate_density(self) -> float:
+        return float(self.occupations[0]) / self.box_length
 
-def _check_particles(particle_number) -> int:
-    n = int(particle_number)
-    if n != particle_number or n < 1:
-        raise ValueError("particle_number must be a positive integer")
+    @property
+    def condensate_fraction(self) -> float:
+        return float(self.occupations[0]) / self.particle_number
+
+
+def _check_count(value, name: str) -> int:
+    """value as an int in 1..THERMO_MAX_N, checked before any array is built."""
+    n = int(value)
+    if n != value or n < 1:
+        raise ValueError(f"{name} must be a positive integer")
     if n > THERMO_MAX_N:
         raise ValueError(
-            f"particle_number {n} exceeds the O(N^2) ceiling {THERMO_MAX_N}; "
+            f"{name} {n} exceeds the O(N^2) ceiling {THERMO_MAX_N}; "
             "split the schedule or drop the canonical evaluation at this size")
     return n
 
@@ -134,9 +143,7 @@ def boltzmann_sums(spectrum: Spectrum, beta: float, max_power: int) -> np.ndarra
     contributes 1 exactly) this cannot move any sum at the 1e-12 level.
     """
     _check_beta(beta)
-    k_max = int(max_power)
-    if k_max < 1:
-        raise ValueError("max_power must be >= 1")
+    k_max = _check_count(max_power, "max_power")
     return _power_sums(spectrum.energies - spectrum.energies[0], beta, k_max, (0,))[0]
 
 
@@ -336,7 +343,7 @@ def _solve(spectrum: Spectrum, beta: float, particle_number: int
     S^ex_k, summed over the levels from g up.  S_k, over the whole spectrum,
     takes no part in it.
     """
-    n = _check_particles(particle_number)
+    n = _check_count(particle_number, "particle_number")
     converged = _warn_if_unconverged(spectrum, beta)
     delta = spectrum.energies - spectrum.energies[0]
     g = _peel_count(delta, beta, n)
@@ -380,17 +387,9 @@ def condensate_profile(spectrum: Spectrum, beta: float, particle_number: int,
     total = _dot(sums, np.exp(tail))
     if not abs(total - n) <= 1e-8 * n:
         raise RuntimeError(f"occupation total drifted to {total!r} for N={n}")
-    return ThermoSolution(
-        beta=float(beta),
-        particle_number=n,
-        log_partitions=log_z,
-        occupations=occ,
-        tail_occupation=total - float(occ.sum()),
-        condensate_density=float(occ[0]) / spectrum.box_length,
-        condensate_fraction=float(occ[0]) / n,
-        box_length=spectrum.box_length,
-        cutoff_converged=converged,
-    )
+    return ThermoSolution(log_partitions=log_z, occupations=occ,
+                          tail_occupation=total - float(occ.sum()),
+                          box_length=spectrum.box_length, cutoff_converged=converged)
 
 
 def saturation_density(spectrum: Spectrum, beta: float) -> float:

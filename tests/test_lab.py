@@ -493,7 +493,8 @@ def test_cli_occupancy_matches_library(tmp_path):
     assert list(fields) == ["beta", "particle_number", "box_length", "log_partition",
                             "condensate_density", "condensate_fraction", "tail_occupation",
                             "cutoff_converged", "occupations"]
-    reals = ("beta", "box_length", "log_partition", "condensate_density",
+    assert float(fields["beta"]) == 1.0
+    reals = ("box_length", "log_partition", "condensate_density",
              "condensate_fraction", "tail_occupation")
     # exp and log move with numpy's dispatch, so each line is read back, not hashed
     assert {key: float(fields[key]) for key in reals} == \
@@ -866,6 +867,17 @@ def test_tiny_box_or_beta_is_refused_by_name_without_a_warning(argv, name):
     assert proc.stdout == ""
     errors = proc.stderr.splitlines()
     assert len(errors) == 1 and errors[0].startswith(f"error: {name} is too small"), proc.stderr
+
+
+@pytest.mark.parametrize("density", ["1e8", "1e9", "1e150"])
+def test_occupancy_of_a_small_box_passes_its_own_cutoff(density):
+    # e0 = pi^2 / l_max^2 is 1e16 or more here, where e0 + the tail gap rounds
+    # the cutoff's margin away; any warning, the cutoff's own included, is an error
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "lslab", "occupancy",
+                           "--particles", "2", "--density", density],
+                          env=_source_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "cutoff_converged = 1" in proc.stdout.splitlines()
 
 
 def test_python_dash_m_lslab_lab_refuses_with_an_error_line():

@@ -17,7 +17,6 @@ from lslab.spectrum import (
     default_cutoff,
     dirichlet_energy,
     ground_mode,
-    ground_state_energy,
     weyl_mode_count,
 )
 from lslab.lab import main
@@ -58,15 +57,15 @@ def test_two_interval_spectrum_with_degeneracy():
 def test_ground_energy_is_first_entry():
     r = sample_realization(1.0, 200.0, EnsembleSeed(11, 0))
     s = build_spectrum(r, default_cutoff(r, 1.0))
-    assert s.ground_energy == s.energies[0]
-    assert s.ground_energy == pytest.approx(ground_state_energy(r), rel=1e-15)
+    assert s.energies[0] == s.energies.min()
+    assert s.energies[0] == pytest.approx(ground_mode(r).energy, rel=1e-15)
 
 
 def test_ground_state_energy_values():
-    assert ground_state_energy(make_realization([], math.pi)) == pytest.approx(1.0, rel=1e-14)
+    assert ground_mode(make_realization([], math.pi)).energy == pytest.approx(1.0, rel=1e-14)
     r = make_realization([], 10.0)
-    assert ground_state_energy(r) == pytest.approx(PI_SQ / 100.0, rel=1e-15)
-    assert ground_state_energy(r) == pytest.approx(0.0987, abs=2e-4)
+    assert ground_mode(r).energy == pytest.approx(PI_SQ / 100.0, rel=1e-15)
+    assert ground_mode(r).energy == pytest.approx(0.0987, abs=2e-4)
 
 
 def test_ground_mode_matches_spectrum_head():
@@ -82,7 +81,7 @@ def test_median_ground_energy_scales_like_inverse_log_squared():
     # nu=1, rho=1, N=10^4: median of pi^2/l_max^2 within a factor 4 of
     # pi^2 nu^2 / ln^2 L.
     L = 1e4
-    vals = [ground_state_energy(sample_realization(1.0, L, EnsembleSeed(6, i)))
+    vals = [ground_mode(sample_realization(1.0, L, EnsembleSeed(6, i))).energy
             for i in range(100)]
     target = PI_SQ / math.log(L) ** 2
     ratio = np.median(vals) / target
@@ -164,13 +163,41 @@ def test_default_cutoff_is_converged():
     for beta in (0.25, 1.0, 4.0):
         ec = default_cutoff(r, beta)
         s = build_spectrum(r, ec)
-        assert s.ground_energy < ec
+        assert s.energies[0] < ec
         assert cutoff_is_converged(s, beta)
+
+
+def test_default_cutoff_passes_its_own_rule():
+    # 126 boxes of about 10 points, e0 from about 1e-2 to 1e300: from e0 near
+    # 1e15 / beta up, e0 + the tail gap rounds the cutoff's margin away
+    checked = 0
+    for i, exponent in enumerate(np.linspace(-149.0, 2.5, 126)):
+        box_length = 10.0 ** exponent
+        r = sample_realization(10.0 / box_length, box_length, EnsembleSeed(5, i))
+        for beta in (0.01, 1.0, 100.0):
+            try:
+                cutoff = default_cutoff(r, beta)
+            except ValueError as err:  # only a refusal by name may skip a box
+                assert "is too small" in str(err)
+                continue
+            assert cutoff_is_converged(build_spectrum(r, cutoff), beta), (box_length, beta)
+            checked += 1
+    assert checked == 378
+
+
+def test_cutoff_rule_reads_the_gap_above_the_ground_energy():
+    # e0 = 10^4 and 2 modes below 4 E_cut: 10 above e0 leaves a tail of about
+    # 2 exp(-10) at beta = 1, however large E_cut is; 40 above leaves 2 exp(-40)
+    r = make_realization([], math.pi / 100.0)
+    e0 = ground_mode(r).energy
+    assert e0 == pytest.approx(1e4, rel=1e-12)
+    assert not cutoff_is_converged(build_spectrum(r, e0 + 10.0), 1.0)
+    assert cutoff_is_converged(build_spectrum(r, e0 + 40.0), 1.0)
 
 
 def test_tight_cutoff_is_flagged_unconverged():
     r = sample_realization(1.0, 1000.0, EnsembleSeed(14, 2))
-    s = build_spectrum(r, ground_state_energy(r) * 1.5)
+    s = build_spectrum(r, ground_mode(r).energy * 1.5)
     assert not cutoff_is_converged(s, 1.0)
 
 

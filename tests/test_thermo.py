@@ -63,6 +63,11 @@ def test_boltzmann_sums_argument_validation():
         boltzmann_sums(s, -1.0, 2)
     with pytest.raises(ValueError):
         boltzmann_sums(s, 1.0, 0)
+    # refused by name before any array is built: 10^12 powers would take 7 TiB,
+    # so that case comes last, after the ones a missing check lets through
+    for max_power in (2.5, THERMO_MAX_N + 1, 10**12):
+        with pytest.raises(ValueError, match="max_power"):
+            boltzmann_sums(s, 1.0, max_power)
 
 
 def test_partition_single_level_is_identically_one():
