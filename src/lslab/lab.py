@@ -30,7 +30,7 @@ from .bounds import (MAX_BOXES, SCALING_LAWS, PowerLogLaw, ScalingDiagnostics,
                      trial_state_energy)
 from .disorder import (EnsembleSeed, _sample_on_one_thread, check_point_budget,
                        sample_realization)
-from .spectrum import build_spectrum, default_cutoff, ground_mode
+from .spectrum import _mode_table, build_spectrum, default_cutoff, ground_mode
 from .thermo import THERMO_MAX_N, condensate_profile
 
 if TYPE_CHECKING:
@@ -605,12 +605,16 @@ def _cmd_spectrum(args) -> str:
     config = _config(args)
     r = _realization(config, args.box_length, args.index)
     cutoff = args.cutoff if args.cutoff is not None else default_cutoff(r, config.beta)
-    s = build_spectrum(r, cutoff)
+    return _spectrum_listing(r, cutoff)
+
+
+def _spectrum_listing(r, cutoff) -> str:
+    interval, harmonic, energies = _mode_table(r, cutoff)
+    order = np.argsort(energies, kind="stable")  # build_spectrum's order; ties as built
+    rows = zip(*(column[order].tolist() for column in (energies, interval, harmonic)))
     # the rows _csv_lines would write, with one format_value per row: the indices are ints
-    rows = zip(map(format_value, s.energies.tolist()), s.interval_indices.tolist(),
-               s.mode_numbers.tolist())
     return "\n".join(["energy,interval_index,mode_number",
-                      *(f"{e},{j},{n}" for e, j, n in rows)]) + "\n"
+                      *(f"{format_value(e)},{j},{n}" for e, j, n in rows)]) + "\n"
 
 
 def _cmd_occupancy(args) -> str:

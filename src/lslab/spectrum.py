@@ -3,8 +3,9 @@
 The operator decomposes over the subintervals with a wall at every point
 and at the box edges; on a piece of length l the eigenvalues are
 pi^2 n^2 / l^2 (n >= 1), with normalized sine eigenfunctions on that piece
-alone.  A Spectrum is the energy-sorted union of all modes up to a finite
-cutoff; default_cutoff picks it by the one rule cutoff_is_converged judges.
+alone.  A Spectrum is the sorted energies of all modes up to a finite cutoff,
+which default_cutoff picks by the one rule cutoff_is_converged judges; only
+`lslab spectrum` rebuilds which interval and harmonic each energy is.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ PI_SQ = math.pi ** 2
 # neglected-Boltzmann-mass target used by default_cutoff / cutoff_is_converged
 TAIL_WEIGHT_TARGET = 1e-12
 
-# ceiling on the modes of one spectrum; building one peaks at about 57 bytes
-# per mode (built and sorted columns side by side), so this is under 3 GB
+# ceiling on the modes of one spectrum; building one peaks at about 48 bytes
+# per mode plus 17 per interval (_mode_table's columns), so this is about 3 GB
 MAX_MODES = 5 * 10**7
 
 
@@ -70,11 +71,9 @@ class EigenMode:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Energy-sorted finite spectrum plus the lengths of its intervals."""
+    """Sorted mode energies (8 bytes per mode) and the lengths of their intervals."""
 
     energies: np.ndarray
-    interval_indices: np.ndarray
-    mode_numbers: np.ndarray
     interval_lengths: np.ndarray
     energy_cutoff: float
     box_length: float
@@ -84,20 +83,15 @@ class Spectrum:
             raise EmptySpectrumError("spectrum contains no modes")
         if (self.energies[1:] < self.energies[:-1]).any():
             raise ValueError("energies must be sorted ascending")
-        for arr in (self.energies, self.interval_indices, self.mode_numbers,
-                    self.interval_lengths):
+        for arr in (self.energies, self.interval_lengths):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.energies.size)
 
 
-def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Spectrum:
-    """All modes with energy <= cutoff, sorted by (energy, interval, harmonic).
-
-    Raises EmptySpectrumError when the cutoff is below pi^2 / l_max^2 and
-    refuses more than MAX_MODES modes before allocating them.
-    """
+def _mode_table(realization: DisorderRealization, energy_cutoff: float) -> tuple:
+    """(interval indices, mode numbers, energies) up to the cutoff, by interval, then harmonic."""
     if energy_cutoff <= 0 or not math.isfinite(energy_cutoff):
         raise ValueError("energy_cutoff must be positive and finite")
     e0 = ground_mode(realization).energy  # refuses a box too small for any mode
@@ -110,15 +104,10 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
             f"ceiling {MAX_MODES}; lower the cutoff or the box length")
     n_max = n_max.astype(np.int64)
     # repair floating-point boundary cases against the exact energy formula
-    while True:
-        bump = dirichlet_energy(n_max + 1, lengths) <= energy_cutoff
-        if not bump.any():
-            break
+    while (bump := dirichlet_energy(n_max + 1, lengths) <= energy_cutoff).any():
         n_max[bump] += 1
-    while True:
-        drop = (n_max > 0) & (dirichlet_energy(np.maximum(n_max, 1), lengths) > energy_cutoff)
-        if not drop.any():
-            break
+    while (drop := (n_max > 0) & (dirichlet_energy(np.maximum(n_max, 1), lengths)
+                                  > energy_cutoff)).any():
         n_max[drop] -= 1
     total = int(n_max.sum())
     if total == 0:
@@ -127,16 +116,20 @@ def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Sp
     interval_idx = np.repeat(np.arange(n_max.size, dtype=np.int64), n_max)
     starts = np.concatenate(([0], np.cumsum(n_max)[:-1]))
     mode_num = np.arange(total, dtype=np.int64) - np.repeat(starts, n_max) + 1
-    energies = dirichlet_energy(mode_num, lengths[interval_idx])
-    # built in (interval, harmonic) order; the default sort is several times
-    # faster than a stable one, and a tie, where the two can differ, is put
-    # back in construction order, so the result is the stable order on any host
-    order = np.argsort(energies)
-    ranked = energies[order]
-    if (ranked[1:] == ranked[:-1]).any():
-        order = order[np.lexsort((order, ranked))]
-    return Spectrum(ranked, interval_idx[order], mode_num[order],
-                    lengths, float(energy_cutoff), realization.box_length)
+    return interval_idx, mode_num, dirichlet_energy(mode_num, lengths[interval_idx])
+
+
+def build_spectrum(realization: DisorderRealization, energy_cutoff: float) -> Spectrum:
+    """All modes with energy <= cutoff, as their sorted energies.
+
+    Raises EmptySpectrumError when the cutoff is below pi^2 / l_max^2 and
+    refuses more than MAX_MODES modes before allocating them.  The build
+    peaks at about 48 bytes per mode plus 17 per interval; the result keeps 8.
+    """
+    energies = _mode_table(realization, energy_cutoff)[2]
+    energies.sort()  # tied energies are equal floats, so any sort gives the same bytes
+    return Spectrum(energies, realization.interval_lengths, float(energy_cutoff),
+                    realization.box_length)
 
 
 def ground_mode(realization: DisorderRealization) -> EigenMode:

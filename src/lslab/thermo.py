@@ -16,8 +16,9 @@ with S^ex_k summed over the levels from g up.  Z^ex comes from the power-sum
 recursion in the linear domain, on a buffer that is rescaled whenever Z
 passes 1e200; only ln Z leaves it.  The steps run in blocks of 8: one einsum
 per block gives every row its sum over the steps before the block, and each
-row adds the few products within the block in Python floats.  Each peeled
-level folds back in as one first-order recurrence.  Z^ex is log-concave
+row adds the few products within the block left to right in Python floats
+(not by sum(), which compensates from Python 3.12 on).  Each peeled level
+folds back in as one first-order recurrence.  Z^ex is log-concave
 (Stanley, Ann. N.Y. Acad. Sci. 576, 500 (1989)), so its ratios never grow
 and the terms past step m sum to at most Z^ex_m r_m / (1 - r_m); the
 recursion stops at the first m* where that bound is below 1e-18 of the
@@ -39,7 +40,6 @@ empirical estimate of where condensation sets in.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -258,8 +258,8 @@ def _log_partitions(excited_sums: np.ndarray, peeled: np.ndarray, n_max: int
     step m0, one einsum makes the history part of every row of the block,
     H_n = sum_{j<=m0} S^ex_{n-j} Z^ex_j: a strided (Hankel) view of the
     sums, row r starting at S^ex_{r+1}, times the buffer's live slice.  Row
-    n then adds its in-block triangle, sum_{k<n-m0} S^ex_k Z^ex_{n-k}, in
-    Python floats.  Z^ex_n passes through one first-order recurrence per
+    n then adds its in-block triangle, sum_{k<n-m0} S^ex_k Z^ex_{n-k}, left
+    to right.  Z^ex_n passes through one first-order recurrence per
     peeled level, Y_n = x_j Y_{n-1} + W_n, and a running sum (x_0 = 1)
     gives Z_n.  Everything is held divided by exp(shift); when Z_n passes
     _RESCALE_AT, the buffer, the peeled states and the block's pending
@@ -298,7 +298,10 @@ def _log_partitions(excited_sums: np.ndarray, peeled: np.ndarray, n_max: int
         recent = []
         for r in range(rows):
             n = start + 1 + r
-            value = sum(map(operator.mul, head, recent), history[r]) / n
+            value = history[r]
+            for s_k, z in zip(head, recent):
+                value += s_k * z
+            value /= n
             recent.insert(0, value)
             y = value
             for i, x in enumerate(peeled):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 
 from lslab.disorder import DisorderRealization, EnsembleSeed
+from lslab.lab import _spectrum_listing
 from lslab.spectrum import Spectrum
 
 
@@ -20,19 +21,37 @@ def make_realization(points, box_length, intensity=1.0, seed=None):
 def toy_spectrum(energies, box_length=1.0):
     """Wrap a bare sorted-or-not energy list as a Spectrum.
 
-    The interval table is a stub (one unit interval); only code paths that
+    The interval lengths are a stub (one unit interval); only code paths that
     read energies and box_length should receive these.
     """
-    e = np.sort(np.asarray(energies, dtype=float))
-    m = e.size
     return Spectrum(
-        energies=e,
-        interval_indices=np.zeros(m, dtype=np.int64),
-        mode_numbers=np.arange(1, m + 1, dtype=np.int64),
+        energies=np.sort(np.asarray(energies, dtype=float)),
         interval_lengths=np.array([1.0]),
         energy_cutoff=math.inf,
         box_length=float(box_length),
     )
+
+
+def spectrum_listing(realization, cutoff):
+    """The `lslab spectrum` rows of a realization as (energies, interval indices, mode numbers)."""
+    rows = _spectrum_listing(realization, cutoff).splitlines()
+    assert rows[0] == "energy,interval_index,mode_number"
+    energy, interval, harmonic = zip(*(row.split(",") for row in rows[1:]))
+    return (np.array(energy, dtype=float), np.array(interval, dtype=np.int64),
+            np.array(harmonic, dtype=np.int64))
+
+
+def compensated_sum(values, start=0):
+    """A float sum() as Python 3.12 and later compute it, with Neumaier compensation."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
 
 
 def split_dump(text):

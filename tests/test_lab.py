@@ -33,7 +33,7 @@ from lslab.lab import (
 from lslab.spectrum import build_spectrum, default_cutoff
 from lslab.thermo import condensate_profile
 
-from conftest import split_dump
+from conftest import compensated_sum, split_dump
 
 
 def test_default_config_is_valid():
@@ -287,11 +287,14 @@ def test_emit_report_files_deterministic(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+THERMO_REPORT_PIN = ("lemma21,appendix,thermo", "200,2000", "3", "3", {
+    "summary.csv": "ecba278e566d8f1af2e095ae984a6094e0c0ad1b36ddaf074d114b97c63fcdc3",
+    "pass_fractions.csv": "46d34918398aa5de32dc352483188e8a2cd5bd05a12a8b9d3d8dee0612e359d3",
+    "records.csv": "1d22ca0cea93cec9dd9480daf943211786cc68491580832d0e78dbfa971cc055"})
+
+
 @pytest.mark.parametrize("checks, n_schedule, realizations, base_seed, digests", [
-    ("lemma21,appendix,thermo", "200,2000", "3", "3", {
-        "summary.csv": "ecba278e566d8f1af2e095ae984a6094e0c0ad1b36ddaf074d114b97c63fcdc3",
-        "pass_fractions.csv": "46d34918398aa5de32dc352483188e8a2cd5bd05a12a8b9d3d8dee0612e359d3",
-        "records.csv": "1d22ca0cea93cec9dd9480daf943211786cc68491580832d0e78dbfa971cc055"}),
+    THERMO_REPORT_PIN,
     ("hardcore_bound,scaling,trial_energy", "1000,1e5", "3", "4", {
         "summary.csv": "c489ba9c65f0a6ed219c90b0935e5e1623877a66fde1e17c86fb88052f99e5f9",
         "pass_fractions.csv": "fe1736258c114912fe01c789c33844169c914883f128e292eeca55d1d8833144",
@@ -311,6 +314,13 @@ def test_report_bytes_are_pinned(checks, n_schedule, realizations, base_seed, di
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in tmp_path.iterdir()}
     assert written == digests
+
+
+def test_report_pin_holds_under_a_compensated_sum(monkeypatch, tmp_path, capsys):
+    # Python 3.12 and later compensate a float sum(); the thermo columns must not
+    # take their bits from it
+    monkeypatch.setattr(lslab.thermo, "sum", compensated_sum, raising=False)
+    test_report_bytes_are_pinned(*THERMO_REPORT_PIN, tmp_path, capsys)
 
 
 def test_emit_report_summary_shape(tmp_path, monkeypatch):

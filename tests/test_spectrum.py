@@ -21,7 +21,7 @@ from lslab.spectrum import (
 )
 from lslab.lab import main
 
-from conftest import make_realization
+from conftest import make_realization, spectrum_listing
 
 
 def test_dirichlet_energy_formula():
@@ -35,7 +35,7 @@ def test_single_interval_pi_gives_square_energies():
     r = make_realization([], math.pi)
     s = build_spectrum(r, 10.0)
     np.testing.assert_allclose(s.energies, [1.0, 4.0, 9.0], rtol=1e-13)
-    assert list(s.mode_numbers) == [1, 2, 3]
+    assert list(spectrum_listing(r, 10.0)[2]) == [1, 2, 3]
 
 
 def test_two_interval_spectrum_with_degeneracy():
@@ -47,7 +47,7 @@ def test_two_interval_spectrum_with_degeneracy():
     degenerate = np.isclose(s.energies, PI_SQ, rtol=1e-12)
     assert degenerate.sum() == 2
     # deterministic tie-break: lower interval index first
-    assert list(s.interval_indices[degenerate]) == [0, 1]
+    assert list(spectrum_listing(r, 23.0)[1][degenerate]) == [0, 1]
     # a tighter cutoff must exclude 9 pi^2/4 (~22.2) entirely
     s12 = build_spectrum(r, 12.0)
     np.testing.assert_allclose(s12.energies, [PI_SQ / 4, PI_SQ, PI_SQ], rtol=1e-13)
@@ -70,10 +70,12 @@ def test_ground_state_energy_values():
 
 def test_ground_mode_matches_spectrum_head():
     r = sample_realization(1.0, 300.0, EnsembleSeed(4, 2))
-    s = build_spectrum(r, default_cutoff(r, 1.0))
+    cutoff = default_cutoff(r, 1.0)
+    s = build_spectrum(r, cutoff)
+    _, interval, harmonic = spectrum_listing(r, cutoff)
     gm = ground_mode(r)
     assert gm.energy == s.energies[0]
-    assert (gm.interval_index, gm.mode_number) == (s.interval_indices[0], s.mode_numbers[0])
+    assert (gm.interval_index, gm.mode_number) == (interval[0], harmonic[0])
     assert gm.interval_length == s.interval_lengths[gm.interval_index]
 
 
@@ -93,7 +95,7 @@ def test_weyl_count_matches_built_spectrum():
     cutoff = 40.0
     s = build_spectrum(r, cutoff)
     assert len(s) == weyl_mode_count(r.interval_lengths, cutoff)
-    counts = np.bincount(s.interval_indices, minlength=r.n_intervals)
+    counts = np.bincount(spectrum_listing(r, cutoff)[1], minlength=r.n_intervals)
     per_interval = np.floor(r.interval_lengths * math.sqrt(cutoff) / math.pi)
     np.testing.assert_array_equal(counts, per_interval.astype(int))
 
@@ -101,11 +103,11 @@ def test_weyl_count_matches_built_spectrum():
 def test_cutoff_completeness_no_mode_missing_or_extra():
     r = sample_realization(1.0, 300.0, EnsembleSeed(8, 8))
     cutoff = 25.0
-    s = build_spectrum(r, cutoff)
-    assert s.energies.max() <= cutoff
+    energies, interval, harmonic = spectrum_listing(r, cutoff)
+    assert energies.max() <= cutoff
     # for every interval the next harmonic would exceed the cutoff
     n_top = np.zeros(r.n_intervals, dtype=np.int64)
-    np.maximum.at(n_top, s.interval_indices, s.mode_numbers)
+    np.maximum.at(n_top, interval, harmonic)
     next_energy = dirichlet_energy(n_top + 1, r.interval_lengths)
     assert np.all(next_energy > cutoff)
 
@@ -118,6 +120,7 @@ def test_exact_energy_ties_keep_construction_order():
     r = make_realization(np.cumsum(lengths)[:-1] - lengths.sum() / 2, lengths.sum())
     np.testing.assert_array_equal(r.interval_lengths, lengths)
     s = build_spectrum(r, 64 * PI_SQ)
+    energies, listed_interval, listed_harmonic = spectrum_listing(r, 64 * PI_SQ)
     n_max = (8 * lengths).astype(np.int64)
     interval = np.repeat(np.arange(lengths.size), n_max)
     harmonic = np.concatenate([np.arange(1, n + 1) for n in n_max])
@@ -125,8 +128,27 @@ def test_exact_energy_ties_keep_construction_order():
     order = np.argsort(built, kind="stable")
     assert np.count_nonzero(np.diff(built[order]) == 0) > len(s) // 2
     np.testing.assert_array_equal(s.energies, built[order])
-    np.testing.assert_array_equal(s.interval_indices, interval[order])
-    np.testing.assert_array_equal(s.mode_numbers, harmonic[order])
+    np.testing.assert_array_equal(energies, built[order])
+    np.testing.assert_array_equal(listed_interval, interval[order])
+    np.testing.assert_array_equal(listed_harmonic, harmonic[order])
+
+
+def test_listing_puts_many_ties_in_lexsort_order():
+    # 2000 unit intervals between integer points: each of the 8 levels is
+    # 2000-fold degenerate, so a sort that is not stable scrambles the labels
+    r = make_realization(np.arange(-999.0, 1000.0), 2000.0)
+    assert np.all(r.interval_lengths == 1.0)
+    cutoff = 8.5 ** 2 * PI_SQ
+    interval = np.repeat(np.arange(2000), 8)
+    harmonic = np.tile(np.arange(1, 9), 2000)
+    built = dirichlet_energy(harmonic, r.interval_lengths[interval])
+    order = np.lexsort((np.arange(built.size), built))
+    energies, listed_interval, listed_harmonic = spectrum_listing(r, cutoff)
+    np.testing.assert_array_equal(listed_interval, interval[order])
+    np.testing.assert_array_equal(listed_harmonic, harmonic[order])
+    sorted_bytes = np.sort(built).tobytes()
+    assert energies.tobytes() == sorted_bytes
+    assert build_spectrum(r, cutoff).energies.tobytes() == sorted_bytes
 
 
 @pytest.mark.parametrize("box_length, base_seed, index, beta, n_modes, digest", [
@@ -136,12 +158,16 @@ def test_exact_energy_ties_keep_construction_order():
     (300.0, 8, 1, 0.3, 899, "a4ceb7b6e0536d23f9dae7dd3f97656c90682a93d632224ce035668861c598b3"),
 ])
 def test_built_spectrum_bytes_are_pinned(box_length, base_seed, index, beta, n_modes, digest):
-    # energies, interval indices and mode numbers, bit for bit, in sorted order
+    # energies, then the listing's interval indices and mode numbers, bit for
+    # bit, in sorted order
     r = sample_realization(1.0, box_length, EnsembleSeed(base_seed, index))
-    s = build_spectrum(r, default_cutoff(r, beta))
+    cutoff = default_cutoff(r, beta)
+    s = build_spectrum(r, cutoff)
+    energies, interval, harmonic = spectrum_listing(r, cutoff)
     assert len(s) == n_modes
-    got = hashlib.sha256(s.energies.tobytes() + s.interval_indices.tobytes()
-                         + s.mode_numbers.tobytes()).hexdigest()
+    assert energies.tobytes() == s.energies.tobytes()
+    got = hashlib.sha256(s.energies.tobytes() + interval.tobytes()
+                         + harmonic.tobytes()).hexdigest()
     assert got == digest
 
 
@@ -215,8 +241,7 @@ def test_empty_spectrum_error_and_validation():
 
 def test_spectrum_requires_sorted_energies():
     with pytest.raises(ValueError):
-        Spectrum(np.array([2.0, 1.0]), np.zeros(2, dtype=np.int64),
-                 np.array([1, 2], dtype=np.int64), np.array([1.0]), 10.0, 1.0)
+        Spectrum(np.array([2.0, 1.0]), np.array([1.0]), 10.0, 1.0)
 
 
 @pytest.mark.parametrize("energies", [
@@ -228,10 +253,8 @@ def test_sorted_check_matches_the_difference_rule(energies):
     e = np.array(energies)
     with np.errstate(invalid="ignore"):
         refused = bool(np.any(np.diff(e) < 0))
-    m = e.size
     try:
-        Spectrum(e, np.zeros(m, dtype=np.int64), np.arange(1, m + 1, dtype=np.int64),
-                 np.array([1.0]), 10.0, 1.0)
+        Spectrum(e, np.array([1.0]), 10.0, 1.0)
     except ValueError:
         assert refused
     else:
@@ -241,23 +264,24 @@ def test_sorted_check_matches_the_difference_rule(energies):
 def test_mode_accessor_consistency():
     r = sample_realization(1.0, 100.0, EnsembleSeed(19, 0))
     s = build_spectrum(r, 30.0)
+    energies, interval, harmonic = spectrum_listing(r, 30.0)
     for k in (0, len(s) // 2, len(s) - 1):
-        length = s.interval_lengths[s.interval_indices[k]]
-        assert length == r.interval_lengths[s.interval_indices[k]]
-        assert s.energies[k] == pytest.approx(
-            float(dirichlet_energy(s.mode_numbers[k], length)), rel=1e-15)
+        length = s.interval_lengths[interval[k]]
+        assert length == r.interval_lengths[interval[k]]
+        assert s.energies[k] == energies[k] == pytest.approx(
+            float(dirichlet_energy(harmonic[k], length)), rel=1e-15)
 
 
 def test_spectrum_text_export(capsys):
-    s = build_spectrum(sample_realization(1.0, 30.0, EnsembleSeed(2, 0)), 23.0)
+    r = sample_realization(1.0, 30.0, EnsembleSeed(2, 0))
+    s = build_spectrum(r, 23.0)
     assert main(["spectrum", "--box-length", "30", "--cutoff", "23", "--base-seed", "2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "energy,interval_index,mode_number"
     assert len(lines) == len(s) + 1
-    first = lines[1].split(",")
-    assert float(first[0]) == s.energies[0]
-    assert (int(first[1]), int(first[2])) == (s.interval_indices[0], s.mode_numbers[0])
     parsed = np.array([float(ln.split(",")[0]) for ln in lines[1:]])
-    np.testing.assert_array_equal(parsed, s.energies)
+    assert parsed.tobytes() == s.energies.tobytes()
+    # each row's labels give back its energy, bit for bit
     indices = np.array([ln.split(",")[1:] for ln in lines[1:]], dtype=np.int64)
-    np.testing.assert_array_equal(indices, np.column_stack((s.interval_indices, s.mode_numbers)))
+    np.testing.assert_array_equal(
+        dirichlet_energy(indices[:, 1], s.interval_lengths[indices[:, 0]]), parsed)

@@ -23,7 +23,7 @@ from lslab.thermo import (
 )
 from lslab.lab import main
 
-from conftest import enumerate_bose, split_dump, toy_spectrum
+from conftest import compensated_sum, enumerate_bose, split_dump, toy_spectrum
 
 
 BLOCK = lslab.thermo._BLOCK
@@ -219,12 +219,16 @@ def test_hot_spectrum_runs_every_block_to_n():
     assert_matches_full_recursion(spec, beta, n)
 
 
-@pytest.mark.parametrize("box_length, base_seed, index, beta, n, stop, digest", [
-    (4000 / 0.6, 23, 1, 1.0, 4000, 1519,
-     "ea2bc1e278a75e2f578b652a4694bb0b346fa7849eb5531b2c67697176050e28"),
-    (1203 / 0.6, 27, 0, 0.3, 1203, 1203,
-     "a769481ef66af5ffac63e41a519295c9a4bf68e714f869f702282fff3c1519c9"),
-], ids=["stops-early", "runs-to-n"])
+LOG_PARTITION_PINS = {
+    "stops-early": (4000 / 0.6, 23, 1, 1.0, 4000, 1519,
+                    "ea2bc1e278a75e2f578b652a4694bb0b346fa7849eb5531b2c67697176050e28"),
+    "runs-to-n": (1203 / 0.6, 27, 0, 0.3, 1203, 1203,
+                  "a769481ef66af5ffac63e41a519295c9a4bf68e714f869f702282fff3c1519c9"),
+}
+
+
+@pytest.mark.parametrize("box_length, base_seed, index, beta, n, stop, digest",
+                         LOG_PARTITION_PINS.values(), ids=LOG_PARTITION_PINS.keys())
 def test_log_partition_bytes_are_pinned(box_length, base_seed, index, beta, n, stop, digest):
     # ln Z_0 .. ln Z_N bit for bit.  These are the bits of one numpy build,
     # libm and CPU feature set: np.exp and math.log pick a code path by CPU
@@ -235,6 +239,13 @@ def test_log_partition_bytes_are_pinned(box_length, base_seed, index, beta, n, s
     assert lslab.thermo._solve(spec, beta, n)[4] == stop
     log_z = canonical_partition(spec, beta, n)
     assert hashlib.sha256(log_z.tobytes()).hexdigest() == digest
+
+
+def test_log_partition_pins_hold_under_a_compensated_sum(monkeypatch):
+    # Python 3.12 and later compensate a float sum(); ln Z must not take its bits from it
+    monkeypatch.setattr(lslab.thermo, "sum", compensated_sum, raising=False)
+    for pin in LOG_PARTITION_PINS.values():
+        test_log_partition_bytes_are_pinned(*pin)
 
 
 @pytest.mark.parametrize("energies, n", [
